@@ -7,6 +7,15 @@ the split set allows, with the per-cell floor supplied by the metric.
 For the squared-size metric a cell below the minimum admissible size k
 is charged k per tuple, since any feasible solution must merge it into a
 block of at least k tuples.
+
+The refinable leaves (the frontier) are a pre-order suffix of the
+leaves, so a bound is the exact cost of the frozen prefix plus the
+finest-refinement cost of the frontier, added in pre-order. Growing
+frontier leaf i freezes frontier leaves 0..i-1, puts the move's blocks in
+place of leaf i and keeps the rest. A child's bound therefore follows
+from its parent's `frontier` without walking the child's tree; the search
+adds the same terms in the same order, so it equals `lower_bound` of the
+child bit for bit.
 """
 
 from __future__ import annotations
@@ -78,21 +87,43 @@ class BoundContext:
         return total
 
 
+def frontier(tree, ctx: BoundContext, cost_of):
+    """One walk of `tree` for its bound: `(leaves, pre, mins)`.
+
+    `leaves` are the refinable leaves as `(path, leaf)` in pre-order (the
+    frontier), `mins[j]` is the finest-refinement cost of `leaves[j]`, and
+    `pre[j]` is the running pre-order sum of exact leaf costs up to, not
+    including, `leaves[j]`; `pre[-1]` is the exact cost of the whole tree.
+    The frontier is a pre-order suffix of the leaves, so `pre[0]` is the
+    exact cost of the frozen prefix.
+    """
+    refinable = {path for path, _ in tree.splittable_leaves()}
+    leaves, pre, mins = [], [], []
+    total = 0.0
+    for path, node in tree.pre_order():
+        if not isinstance(node, Leaf):
+            continue
+        if path in refinable:
+            leaves.append((path, node))
+            pre.append(total)
+            mins.append(ctx.min_cost(node.block))
+        total += cost_of(node.block)
+    pre.append(total)
+    return leaves, pre, mins
+
+
 def lower_bound(tree, ctx: BoundContext, cost_of=None) -> float:
-    """Lower bound over the partitions reachable from `tree`.
+    """Lower bound over the partitions reachable from `tree`: the frozen
+    prefix at exact cost plus the frontier at finest-refinement cost,
+    added in pre-order.
 
     `cost_of` maps a block to its exact metric cost; defaults to the
     context's metric.
     """
     if cost_of is None:
         cost_of = ctx.metric.block_cost
-    refinable = {path for path, _ in tree.splittable_leaves()}
-    total = 0.0
-    for path, node in tree.pre_order():
-        if not isinstance(node, Leaf):
-            continue
-        if path in refinable:
-            total += ctx.min_cost(node.block)
-        else:
-            total += cost_of(node.block)
+    _, pre, mins = frontier(tree, ctx, cost_of)
+    total = pre[0]
+    for m in mins:
+        total += m
     return total

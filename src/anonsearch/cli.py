@@ -97,8 +97,6 @@ def build_parser():
                     help="seconds; exceeding it returns best effort")
     ps.add_argument("--node-limit", type=int, default=None,
                     help="generated-node budget")
-    ps.add_argument("--workers", type=int, default=0,
-                    help="threads for child scoring")
     ps.add_argument("--improve", action="store_true",
                     help="seed the incumbent with the greedy solution")
     ps.add_argument("--out", required=True, help="output directory")
@@ -253,7 +251,7 @@ def _cmd_search(args) -> int:
     cfg = SearchConfig(mode=args.mode, alpha=args.alpha,
                        priority=args.priority, max_queue=args.max_queue,
                        time_limit=args.time_limit,
-                       node_limit=args.node_limit, workers=args.workers)
+                       node_limit=args.node_limit)
     res = search(space, metric, cons, cfg, seed_tree=seed_tree)
 
     doc = {

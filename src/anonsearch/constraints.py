@@ -250,6 +250,19 @@ class ConstraintSet:
     def block_ok(self, block) -> bool:
         return not self.block_flags(block)[0]
 
+    def min_block_size(self) -> int:
+        """Smallest size a non-empty block of a feasible partition can
+        have: k for k-anonymity, the fewest distinct values whose entropy
+        reaches ln(l) (ceil(l)) for entropy l-diversity, 1 otherwise."""
+        floor = 1
+        for c in self.constraints:
+            if isinstance(c, KAnonymity):
+                floor = max(floor, c.k)
+            elif isinstance(c, EntropyLDiversity):
+                need = math.exp(c.threshold - _ENTROPY_TOL)
+                floor = max(floor, math.ceil(need))
+        return floor
+
     def feasible(self, blocks) -> bool:
         return all(not self.block_flags(b)[0] for b in blocks)
 

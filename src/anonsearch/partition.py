@@ -307,10 +307,16 @@ def detect_legal_move(tree: PartitionTree, path, move: Move) -> bool:
     return _constraint2_ok(tree, path, move)
 
 
-def legal_moves(tree: PartitionTree):
-    """All (path, move) pairs producing a distinct-partition child."""
+def legal_moves(tree: PartitionTree, leaves=None):
+    """All (path, move) pairs producing a distinct-partition child.
+
+    `leaves` may pass in `tree.splittable_leaves()` when the caller has
+    already computed it.
+    """
+    if leaves is None:
+        leaves = tree.splittable_leaves()
     out = []
-    for path, leaf in tree.splittable_leaves():
+    for path, leaf in leaves:
         for move in tree.space.available_moves(leaf.block):
             if _constraint2_ok(tree, path, move):
                 out.append((path, move))

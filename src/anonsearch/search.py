@@ -15,6 +15,19 @@ entry tries to tighten the incumbent, the queue is re-filtered against
 it, and if still too large the worst entries are dropped in 10% rounds
 until half the limit remains. Dropped bounds are remembered: they cap
 the provable lower bound, and any forced drop voids the certificate.
+The node and time budgets are checked before every expansion and every
+dive step.
+
+Children are scored without building their trees. Expanding a node
+walks its tree once (`bounds.frontier`): the refinable leaves form a
+pre-order suffix, with `pre[i]` the exact cost of every leaf before
+frontier leaf i and `mins` the frontier's finest-refinement costs.
+Growing frontier leaf i freezes the leaves before it, so the child's
+bound is `pre[i]`, plus the floor of each new block, plus `mins[j]` for
+j > i, added in that order: the same float as `lower_bound` of the
+child's tree. A child's tree is built only when it is queued or becomes
+the incumbent; most children are pruned at once, and a queued node
+holds no more than its tree, cost, bound and flag counts.
 """
 
 from __future__ import annotations
@@ -22,10 +35,9 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .bounds import BoundContext, lower_bound
+from .bounds import BoundContext, frontier, lower_bound
 from .constraints import ConstraintSet
 from .metrics import Metric, theoretical_bound
 from .partition import PartitionTree, Space, is_legal, legal_moves, normalize
@@ -41,7 +53,6 @@ class SearchConfig:
     max_queue: int = 100_000
     time_limit: float | None = None   # seconds
     node_limit: int | None = None     # generated nodes
-    workers: int = 0
 
     def __post_init__(self):
         if self.mode not in ("optimal", "approx"):
@@ -132,22 +143,35 @@ class _Searcher:
         lb = lower_bound(tree, self.bctx, self.cost_of)
         return _Node(tree, cost, lb, fa, fm)
 
-    def _child(self, parent: _Node, path, move) -> _Node:
-        tree = parent.tree.apply_move(path, move)
-        old = parent.tree.node_at(path).block
-        new_blocks = self.space.move_blocks(old, move)
-        cost = parent.cost - self.cost_of(old)
-        fa, fm = parent.fail_any, parent.fail_mono
-        oa, om = self.cons.block_flags(old)
-        fa -= oa
-        fm -= om
-        for nb in new_blocks:
-            cost += self.cost_of(nb)
-            a, m = self.cons.block_flags(nb)
-            fa += a
-            fm += m
-        lb = lower_bound(tree, self.bctx, self.cost_of)
-        return _Node(tree, cost, lb, fa, fm)
+    def _children(self, node: _Node):
+        """Score every legal child of `node` without building its tree.
+
+        Yields `(path, move, cost, lb, fail_any, fail_mono)` in the order
+        of `legal_moves(node.tree)`; the bound is summed as the module
+        docstring describes.
+        """
+        cost_of, flags = self.cost_of, self.cons.block_flags
+        min_cost, move_blocks = self.bctx.min_cost, self.space.move_blocks
+        leaves, pre, mins = frontier(node.tree, self.bctx, cost_of)
+        index = {path: i for i, (path, _) in enumerate(leaves)}
+        for path, move in legal_moves(node.tree, leaves):
+            i = index[path]
+            old = leaves[i][1].block
+            cost = node.cost - cost_of(old)
+            fa, fm = node.fail_any, node.fail_mono
+            oa, om = flags(old)
+            fa -= oa
+            fm -= om
+            lb = pre[i]
+            for nb in move_blocks(old, move):
+                cost += cost_of(nb)
+                a, m = flags(nb)
+                fa += a
+                fm += m
+                lb += min_cost(nb)
+            for floor in mins[i + 1:]:
+                lb += floor
+            yield path, move, cost, lb, fa, fm
 
     def _key(self, node: _Node):
         if self.cfg.priority == "cost":
@@ -161,9 +185,21 @@ class _Searcher:
 
     def _update_incumbent(self, node: _Node):
         if node.fail_any == 0 and node.cost < self.best:
-            self.best = node.cost
-            self.best_tree = node.tree
-            self._progress_row()
+            self._set_best(node.cost, node.tree)
+
+    def _offer(self, parent_tree, path, move, cost, fail_any):
+        """Make a scored child the incumbent if it is feasible and cheaper.
+        Returns the child's tree, built only in that case, else None."""
+        if fail_any or cost >= self.best:
+            return None
+        tree = parent_tree.apply_move(path, move)
+        self._set_best(cost, tree)
+        return tree
+
+    def _set_best(self, cost, tree):
+        self.best = cost
+        self.best_tree = tree
+        self._progress_row()
 
     def _progress_row(self):
         self.progress.append({
@@ -197,6 +233,14 @@ class _Searcher:
             return 1.0 if best <= 0 else INF
         return best / glb
 
+    def _out_of_budget(self) -> bool:
+        cfg = self.cfg
+        if (cfg.time_limit is not None
+                and time.monotonic() - self._t0 > cfg.time_limit):
+            return True
+        return (cfg.node_limit is not None
+                and self.stats.generated >= cfg.node_limit)
+
     def _push(self, node: _Node):
         if len(self.heap) >= self.cfg.max_queue:
             self._probe()
@@ -209,22 +253,23 @@ class _Searcher:
 
     def _dive(self, node: _Node):
         cur = node
-        while True:
-            best_child = None
-            for path, move in legal_moves(cur.tree):
-                ch = self._child(cur, path, move)
+        while not self._out_of_budget():
+            best = None   # (cost, path, move, lb, tree or None)
+            for path, move, cost, lb, fa, fm in self._children(cur):
                 self.stats.generated += 1
-                if ch.fail_mono:
+                if fm:
                     continue
-                self._update_incumbent(ch)
-                if ch.fail_any == 0 and (best_child is None
-                                         or ch.cost < best_child.cost):
-                    best_child = ch
-            if best_child is None:
+                tree = self._offer(cur.tree, path, move, cost, fa)
+                if fa == 0 and (best is None or cost < best[0]):
+                    best = (cost, path, move, lb, tree)
+            if best is None:
                 return
-            if cur.fail_any == 0 and best_child.cost >= cur.cost:
+            cost, path, move, lb, tree = best
+            if cur.fail_any == 0 and cost >= cur.cost:
                 return
-            cur = best_child
+            if tree is None:
+                tree = cur.tree.apply_move(path, move)
+            cur = _Node(tree, cost, lb, 0, 0)
 
     def _probe(self):
         self.stats.probes += 1
@@ -279,47 +324,30 @@ class _Searcher:
             self.stats.pruned_bound += 1
             self.frontier_min = min(self.frontier_min, root.lb)
 
-        pool = None
-        if cfg.workers and cfg.workers > 1:
-            pool = ThreadPoolExecutor(max_workers=cfg.workers)
         budget_hit = False
-        try:
-            while self.heap:
-                if (cfg.time_limit is not None
-                        and time.monotonic() - self._t0 > cfg.time_limit):
-                    budget_hit = True
-                    break
-                if (cfg.node_limit is not None
-                        and self.stats.generated >= cfg.node_limit):
-                    budget_hit = True
-                    break
-                _, _, node = heapq.heappop(self.heap)
-                if cfg.alpha * node.lb >= self.best:
-                    self.stats.pruned_bound += 1
-                    self.frontier_min = min(self.frontier_min, node.lb)
+        while self.heap:
+            if self._out_of_budget():
+                budget_hit = True
+                break
+            _, _, node = heapq.heappop(self.heap)
+            if cfg.alpha * node.lb >= self.best:
+                self.stats.pruned_bound += 1
+                self.frontier_min = min(self.frontier_min, node.lb)
+                continue
+            self.stats.expanded += 1
+            for path, move, cost, lb, fa, fm in self._children(node):
+                self.stats.generated += 1
+                if fm:
+                    self.stats.pruned_infeasible += 1
                     continue
-                self.stats.expanded += 1
-                moves = legal_moves(node.tree)
-                if pool is not None:
-                    children = list(pool.map(
-                        lambda pm: self._child(node, *pm), moves))
+                tree = self._offer(node.tree, path, move, cost, fa)
+                if cfg.alpha * lb < self.best:
+                    if tree is None:
+                        tree = node.tree.apply_move(path, move)
+                    self._push(_Node(tree, cost, lb, fa, fm))
                 else:
-                    children = [self._child(node, path, move)
-                                for path, move in moves]
-                for ch in children:
-                    self.stats.generated += 1
-                    if ch.fail_mono:
-                        self.stats.pruned_infeasible += 1
-                        continue
-                    self._update_incumbent(ch)
-                    if cfg.alpha * ch.lb < self.best:
-                        self._push(ch)
-                    else:
-                        self.stats.pruned_bound += 1
-                        self.frontier_min = min(self.frontier_min, ch.lb)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+                    self.stats.pruned_bound += 1
+                    self.frontier_min = min(self.frontier_min, lb)
 
         return self._finish("drained", drained=not budget_hit)
 
@@ -354,6 +382,12 @@ def search(space: Space, metric: Metric, constraints: ConstraintSet,
            config: SearchConfig | None = None,
            seed_tree: PartitionTree | None = None) -> SearchResult:
     cfg = config or SearchConfig()
+    floor = constraints.min_block_size()
+    if metric.name == "dm" and metric.k > floor:
+        # the bound charges k per tuple of a smaller cell; with k above
+        # the constraints' floor it would exceed feasible costs
+        raise ValueError(f"metric k={metric.k} exceeds the smallest block "
+                         f"size the constraints allow, {floor}")
     return _Searcher(space, metric, constraints, cfg, seed_tree).run()
 
 

@@ -77,6 +77,20 @@ def test_entropy_diversity_threshold():
         EntropyLDiversity(space, 1, "s")
 
 
+def test_min_block_size_is_the_largest_size_floor():
+    space = label_space(["a", "b", "c", "a", "b", "c"])
+    assert build_constraints(space).min_block_size() == 1
+    assert build_constraints(space, k=4).min_block_size() == 4
+    assert build_constraints(space, l_div=2.0).min_block_size() == 2
+    assert build_constraints(space, l_div=2.5).min_block_size() == 3
+    assert build_constraints(space, k=2, l_div=2.5).min_block_size() == 3
+    assert build_constraints(space, k=5, l_div=2.5).min_block_size() == 5
+    assert build_constraints(space, t_close=0.5).min_block_size() == 1
+    # the floor is tight: a block of that many distinct values passes
+    c = EntropyLDiversity(space, 2.5, "s")
+    assert c.block_ok(mk([0, 1, 2])) and not c.block_ok(mk([0, 1]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=8),
        st.lists(st.sampled_from("abc"), min_size=1, max_size=8))

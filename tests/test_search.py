@@ -1,18 +1,44 @@
+import importlib
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anonsearch.bounds import lower_bound
 from anonsearch.constraints import build_constraints
-from anonsearch.metrics import make_metric
-from anonsearch.partition import is_legal
-from anonsearch.search import (SearchConfig, improve_from_seed,
+from anonsearch.dataset import Dataset, load_config, sample_dataset
+from anonsearch.metrics import make_metric, theoretical_bound
+from anonsearch.partition import Space, is_legal, legal_moves
+from anonsearch.search import (SearchConfig, _Searcher, improve_from_seed,
                                mondrian_greedy, search)
-from anonsearch.splits import Move
+from anonsearch.splits import Move, generate_splits
 
-from conftest import brute_best, build_space, random_instance
+from conftest import brute_best, build_space, random_instance, random_tree
+
+# the package re-exports a function named `search`; fetch the module
+search_mod = importlib.import_module("anonsearch.search")
+
+
+def adult_space(n_rows, sample=None, splits=None):
+    """The generated census-style instance of scripts/make_adult_sample.py
+    (data seed 17), optionally with split overrides and a row sample."""
+    scripts = str(Path(__file__).resolve().parents[1] / "scripts")
+    if scripts not in sys.path:
+        sys.path.insert(0, scripts)
+    from make_adult_sample import config_doc, make_rows
+    doc = config_doc()
+    for attr in doc["attributes"]:
+        if splits and attr["name"] in splits:
+            attr["splits"] = splits[attr["name"]]
+    schema = load_config(doc)
+    ds = Dataset(schema, make_rows(n_rows, random.Random(17)))
+    if sample is not None:
+        ds = sample_dataset(ds, *sample)
+    return Space(ds, generate_splits(schema, ds.rows))
 
 
 def eps_space():
@@ -173,13 +199,79 @@ def test_deterministic_reruns(tax_space):
         (b.stats.generated, b.stats.expanded, b.stats.pruned_bound)
 
 
-def test_worker_pool_matches_serial(grid_space):
-    metric = make_metric("dm", grid_space, k=2)
-    serial = search(grid_space, metric, build_constraints(grid_space, k=2))
-    pooled = search(grid_space, metric, build_constraints(grid_space, k=2),
-                    SearchConfig(workers=3))
-    assert pooled.status == "optimal"
-    assert pooled.best_cost == serial.best_cost
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]))
+@example(33, "vm")
+@example(72, "vm")
+@example(380, "vm")
+def test_children_match_legal_moves_and_reference_bound(seed, name):
+    # children are scored from the parent's frontier without a tree; the
+    # bound must be the very float lower_bound gives on the child's tree.
+    # The vm examples are instances where adding the frontier suffix in
+    # another order (e.g. a precomputed suffix sum) changes the last ulp.
+    rng = random.Random(seed)
+    while True:   # draw until a taxonomy expansion is a chain of cuts
+        space = random_instance(rng, total_splits=rng.randint(3, 6))
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            break
+    metric = make_metric(name, space, k=2)
+    cons = build_constraints(space, k=2, l_div=rng.choice([None, 1.5]))
+    searcher = _Searcher(space, metric, cons, SearchConfig())
+    for _ in range(6):
+        tree = random_tree(space, rng)
+        kids = list(searcher._children(searcher._evaluate(tree)))
+        assert [(p, m) for p, m, *_ in kids] == legal_moves(tree)
+        for path, move, cost, lb, fa, fm in kids:
+            child = tree.apply_move(path, move)
+            want = lower_bound(child, searcher.bctx, searcher.cost_of)
+            assert lb == want and type(lb) is type(want)
+            ref = searcher._evaluate(child)
+            assert (fa, fm) == (ref.fail_any, ref.fail_mono)
+            assert cost == pytest.approx(ref.cost, rel=1e-12)
+
+
+def test_metric_k_above_constraint_floor_is_refused():
+    # the dm bound charges k per tuple of any smaller cell; with metric
+    # k=40 over blocks that may hold 5 rows it exceeded a feasible cost
+    # and certified a non-optimal partition as optimal
+    space = adult_space(3000, sample=(200, 1))
+    cons = build_constraints(space, k=5)
+    loose = make_metric("dm", space, k=40)
+    feasible = mondrian_greedy(space, loose, cons)
+    assert feasible.feasible
+    assert feasible.cost < theoretical_bound(loose, space)
+    with pytest.raises(ValueError, match="smallest block size"):
+        search(space, loose, cons)
+    res = search(space, make_metric("dm", space, k=5), cons,
+                 SearchConfig(node_limit=200))
+    assert res.lower_bound <= feasible.cost
+
+
+def test_node_limit_holds_inside_probe_dives(monkeypatch):
+    # a small queue forces probes; their dives must stop at the budget
+    # like the main loop, so the overshoot stays within one expansion
+    space = adult_space(600, splits={
+        "age": {"type": "equi_width", "count": 2},
+        "education_num": {"type": "equi_width", "count": 1},
+        "hours_per_week": {"type": "equi_width", "count": 1},
+        "workclass": {"type": "taxonomy"}})
+    fanout = [0]
+
+    def counted(tree, leaves=None):
+        moves = legal_moves(tree, leaves)
+        fanout[0] = max(fanout[0], len(moves))
+        return moves
+
+    monkeypatch.setattr(search_mod, "legal_moves", counted)
+    probed = False
+    for limit in range(50, 2000, 37):
+        res = search(space, make_metric("cm", space),
+                     build_constraints(space, k=20, l_div=2.0),
+                     SearchConfig(max_queue=50, node_limit=limit))
+        assert res.status == "exhausted"
+        assert res.stats.generated <= limit + fanout[0]
+        probed |= res.stats.probes > 0
+    assert probed
 
 
 def test_node_budget_reports_exhausted(grid_space):
