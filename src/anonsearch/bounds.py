@@ -8,6 +8,10 @@ For the squared-size metric a cell below the minimum admissible size k
 is charged k per tuple, since any feasible solution must merge it into a
 block of at least k tuples.
 
+Every block extent lies on split planes, so a block's finest cells are
+exactly the global finest cells inside its box: `BoundContext` bins the
+rows into those cells once and never rescans a block's rows.
+
 The refinable leaves (the frontier) are a pre-order suffix of the
 leaves, so a bound is the exact cost of the frozen prefix plus the
 finest-refinement cost of the frontier, added in pre-order. Growing
@@ -26,64 +30,58 @@ from .partition import Leaf
 
 
 class BoundContext:
-    """Memoizes finest-refinement costs per block extent."""
+    """Finest-cell table plus finest-refinement costs memoized per extent.
+
+    The table is built once per search in O(N * d) for N rows and d QI
+    attributes: one bisection per row and attribute, with boundary values
+    placed as `Space.apply_split` places them, and only the index tuple
+    and metric floor of each non-empty cell kept. A new extent costs
+    O(cells * d): the floors of the cells inside its box are summed.
+    Cells are kept in the order of their first row, the order in which a
+    scan of any block's rows meets them. Row order can thus move only the
+    last ulp of a vm sum; dm and cm floors are integers, exact in any order.
+    """
 
     def __init__(self, space, metric):
-        self.space = space
         self.metric = metric
         self._memo: dict = {}
-        self._planes = {}
-        for attr_idx in space.qi:
-            self._planes[attr_idx] = sorted(
-                s.plane for s in space.splits.by_attr.get(attr_idx, ()))
-        self._needs_labels = hasattr(metric, "labels")
-        self._needs_volume = metric.name == "vm"
+        self._planes = [space.splits.planes(a) for a in space.qi]
+        binned = [(bisect_left if attr.is_numeric else bisect_right,
+                   planes, space.columns[a]) for a, attr, planes
+                  in zip(space.qi, space.qi_schema, self._planes)]
+        members: dict = {}
+        for r in space.root_block.rows:
+            key = tuple([find(planes, col[r]) for find, planes, col in binned])
+            members.setdefault(key, []).append(r)
+
+        # cell i of an attribute spans edges[i]..edges[i + 1]
+        edges = [[lo, *planes, hi] for planes, (lo, hi)
+                 in zip(self._planes, space.root_block.extent)]
+        labels = getattr(metric, "labels", None)
+        volume = getattr(metric, "volume", None)
+        self._cells = []
+        for key, rows in members.items():
+            vol = 0.0
+            if volume is not None:
+                vol = volume(tuple((e[i], e[i + 1]) for i, e in zip(key, edges)))
+            cell_labels = None if labels is None else [labels[r] for r in rows]
+            self._cells.append(
+                (key, metric.floor_cost(len(rows), vol, cell_labels)))
 
     def min_cost(self, block) -> float:
         hit = self._memo.get(block.extent)
         if hit is not None:
             return hit
-        value = self._compute(block)
-        self._memo[block.extent] = value
-        return value
-
-    def _compute(self, block) -> float:
-        space = self.space
-        attrs = []
-        for qi_pos, attr_idx in enumerate(space.qi):
-            lo, hi = block.extent[qi_pos]
-            planes = [p for p in self._planes[attr_idx] if lo < p < hi]
-            numeric = space.dataset.schema[attr_idx].is_numeric
-            attrs.append((qi_pos, attr_idx, planes, numeric, lo, hi))
-
-        cells: dict = {}
-        for r in block.rows:
-            key = []
-            for qi_pos, attr_idx, planes, numeric, _, _ in attrs:
-                v = space.columns[attr_idx][r]
-                # boundary values go tree-left for numeric cuts and to the
-                # upper range for categorical ones
-                if numeric:
-                    key.append(bisect_left(planes, v))
-                else:
-                    key.append(bisect_right(planes, v))
-            cells.setdefault(tuple(key), []).append(r)
-
-        metric = self.metric
+        box = [(bisect_right(planes, lo), bisect_left(planes, hi))
+               for planes, (lo, hi) in zip(self._planes, block.extent)]
         total = 0.0
-        for key, rows in cells.items():
-            volume = 0.0
-            if self._needs_volume:
-                extent = []
-                for (qi_pos, _, planes, _, lo, hi), idx in zip(attrs, key):
-                    a = planes[idx - 1] if idx > 0 else lo
-                    b = planes[idx] if idx < len(planes) else hi
-                    extent.append((a, b))
-                volume = metric.volume(tuple(extent))
-            labels = None
-            if self._needs_labels:
-                labels = [metric.labels[r] for r in rows]
-            total += metric.floor_cost(len(rows), volume, labels)
+        for key, floor in self._cells:
+            for i, (first, last) in zip(key, box):
+                if not first <= i <= last:
+                    break
+            else:
+                total += floor
+        self._memo[block.extent] = total
         return total
 
 

@@ -234,7 +234,19 @@ def _finite_or_none(x):
     return x if x is not None and math.isfinite(x) else None
 
 
+def _search_config(args) -> SearchConfig:
+    try:
+        return SearchConfig(mode=args.mode, alpha=args.alpha,
+                            priority=args.priority, max_queue=args.max_queue,
+                            time_limit=args.time_limit,
+                            node_limit=args.node_limit)
+    except ValueError as exc:
+        field, _, why = str(exc).partition(" ")
+        raise ConfigError(f"--{field.replace('_', '-')} {why}") from None
+
+
 def _cmd_search(args) -> int:
+    cfg = _search_config(args)  # before any data is read
     space = _load_space(args)
     metric, cons = _build_problem(args, space)
     out = Path(args.out)
@@ -248,10 +260,6 @@ def _cmd_search(args) -> int:
             seed_tree = g.tree
             seed_cost = g.cost
 
-    cfg = SearchConfig(mode=args.mode, alpha=args.alpha,
-                       priority=args.priority, max_queue=args.max_queue,
-                       time_limit=args.time_limit,
-                       node_limit=args.node_limit)
     res = search(space, metric, cons, cfg, seed_tree=seed_tree)
 
     doc = {

@@ -92,8 +92,7 @@ class VolumeMetric(Metric):
         for qi_pos, attr_idx in enumerate(self.space.qi):
             attr = self.space.dataset.schema[attr_idx]
             lo, hi = self.space.root_block.extent[qi_pos]
-            planes = sorted(s.plane for s in
-                            self.space.splits.by_attr.get(attr_idx, ()))
+            planes = self.space.splits.planes(attr_idx)
             edges = [lo] + planes + [hi]
             gaps = [b - a for a, b in zip(edges, edges[1:])]
             unit *= min(gaps) / self._lengths[qi_pos]

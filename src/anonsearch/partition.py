@@ -275,20 +275,31 @@ def is_cut(node, s: Split, pending=None) -> bool:
     return is_cut(node.left, s, pending) and is_cut(node.right, s, pending)
 
 
-def _constraint2_ok(tree: PartitionTree, path, move: Move) -> bool:
+def _ancestors(tree: PartitionTree, path) -> list:
+    """The nodes along `path`: entry d is `tree.node_at(path[:d])`."""
+    node = tree.root
+    chain = [node]
+    for step in path:
+        node = node.right if step else node.left
+        chain.append(node)
+    return chain
+
+
+def _constraint2_ok(chain, path, move: Move) -> bool:
     """Ancestor-id rule. A move is redundant iff every one of its splits
     fully cuts the subspace of some ancestor move whose id is not larger.
+    `chain` is `_ancestors(tree, path)`.
 
     Only move heads are inspected: a continuation node (tree-right child
     cutting the same sibling set as its parent) is an artifact of laying
     a categorical expansion out as a chain, not a real subspace. The walk
     stops at the first non-cut head since cuts only get harder higher up.
     """
-    pending = tree.node_at(path)
+    pending = chain[-1]
     for depth in range(len(path) - 1, -1, -1):
-        anc = tree.node_at(path[:depth])
+        anc = chain[depth]
         if depth > 0 and path[depth - 1] == 1:
-            ps = tree.node_at(path[:depth - 1]).split
+            ps = chain[depth - 1].split
             if (not ps.numeric and not anc.split.numeric
                     and ps.set_id == anc.split.set_id):
                 continue
@@ -304,21 +315,23 @@ def detect_legal_move(tree: PartitionTree, path, move: Move) -> bool:
     duplicate-free order."""
     if not any(path == lp for lp, _ in tree.splittable_leaves()):
         return False
-    return _constraint2_ok(tree, path, move)
+    return _constraint2_ok(_ancestors(tree, path), path, move)
 
 
 def legal_moves(tree: PartitionTree, leaves=None):
     """All (path, move) pairs producing a distinct-partition child.
 
     `leaves` may pass in `tree.splittable_leaves()` when the caller has
-    already computed it.
+    already computed it. Each leaf's ancestor chain is walked once and
+    shared by all of its moves.
     """
     if leaves is None:
         leaves = tree.splittable_leaves()
     out = []
     for path, leaf in leaves:
+        chain = _ancestors(tree, path)
         for move in tree.space.available_moves(leaf.block):
-            if _constraint2_ok(tree, path, move):
+            if _constraint2_ok(chain, path, move):
                 out.append((path, move))
     return out
 

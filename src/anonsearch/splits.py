@@ -83,7 +83,8 @@ class SplitSet:
     def __len__(self):
         return len(self.splits)
 
-    def numeric_planes(self, attr) -> list:
+    def planes(self, attr) -> list:
+        """The split planes of one attribute, sorted."""
         return sorted(s.plane for s in self.by_attr.get(attr, ()))
 
 

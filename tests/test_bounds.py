@@ -1,12 +1,14 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsearch.bounds import BoundContext, lower_bound
+from anonsearch.dataset import Dataset
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.metrics import make_metric
-from anonsearch.partition import legal_moves
+from anonsearch.partition import Leaf, Space, legal_moves
 from anonsearch.splits import Move
 
 from conftest import build_space, oracle_min_cost, random_instance, random_tree
@@ -79,6 +81,24 @@ def test_bound_exact_when_nothing_splits():
     assert lower_bound(tree, ctx) == metric.cost(tree.leaf_blocks()) == 9
 
 
+def assert_matches(got, want, name):
+    # dm and cm floors are integers, so their sums are exact
+    if name == "vm":
+        assert abs(got - want) <= 1e-9 * max(1, abs(want))
+    else:
+        assert got == want
+
+
+def replayed_blocks(node, space, block):
+    """The leaf blocks of `node`'s subtree, rebuilt in another space over
+    the same rows."""
+    if isinstance(node, Leaf):
+        return [block]
+    left, right = space.apply_split(block, node.split)
+    return (replayed_blocks(node.left, space, left)
+            + replayed_blocks(node.right, space, right))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]),
        st.integers(1, 3))
@@ -88,9 +108,53 @@ def test_min_cost_matches_oracle(seed, name, k):
     metric = make_metric(name, space, k=k)
     ctx = BoundContext(space, metric)
     tree = random_tree(space, rng)
-    for b in tree.leaf_blocks():
+    # the same rows in another order: cells are met in another order, which
+    # may move only vm's last ulp
+    rows = list(space.dataset.rows)
+    rng.shuffle(rows)
+    shuffled = Space(Dataset(space.dataset.schema, rows), space.splits)
+    sctx = BoundContext(shuffled, make_metric(name, shuffled, k=k))
+    sblocks = replayed_blocks(tree.root, shuffled, shuffled.root_block)
+    for b, sb in zip(tree.leaf_blocks(), sblocks, strict=True):
+        assert sb.extent == b.extent
         want = oracle_min_cost(space, b, metric, k=k)
-        assert abs(ctx.min_cost(b) - want) <= 1e-9 * max(1, abs(want))
+        assert_matches(ctx.min_cost(b), want, name)
+        assert_matches(sctx.min_cost(sb), ctx.min_cost(b), name)
+
+
+@pytest.mark.parametrize("name", ["dm", "cm", "vm"])
+def test_min_cost_with_rows_on_cell_boundaries(name):
+    # rows on numeric cuts (which go tree-left), on both domain ends and
+    # on every categorical sibling boundary; every block any tree reaches
+    # must get the oracle's finest-cell cost
+    cfg = {"attributes": [
+        {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 3],
+         "splits": {"type": "explicit", "values": [1, 2]}},
+        {"name": "w", "kind": "categorical", "role": "qi", "taxonomy": "w",
+         "splits": {"type": "taxonomy"}},
+        {"name": "s", "kind": "categorical", "role": "sensitive",
+         "values": ["a", "b"]},
+    ], "taxonomies": {"w": {"label": "any", "children": [
+        {"label": "g0", "children": [{"label": "v0"}, {"label": "v1"}]},
+        {"label": "g1", "children": [{"label": "v2"}, {"label": "v3"}]},
+    ]}}}
+    rows = [(x, w, s) for x, w, s in zip(
+        [0, 1, 2, 3, 1, 2, 0, 3, 1.5, 1, 2, 0.5, 3, 1],
+        ["v0", "v1", "v2", "v3", "v2", "v1", "v3", "v0", "v1", "v1", "v2",
+         "v0", "v3", "v0"],
+        "ababbaabbaabab")]
+    space = build_space(cfg, rows)
+    seen = {}
+    for tree in enumerate_trees(space):
+        for _, node in tree.pre_order():
+            seen.setdefault(node.block.extent, node.block)
+    assert len(seen) == 6 * 7   # x ranges times taxonomy nodes
+    for k in (1, 2, 3):
+        metric = make_metric(name, space, k=k)
+        ctx = BoundContext(space, metric)
+        for block in seen.values():
+            want = oracle_min_cost(space, block, metric, k=k)
+            assert_matches(ctx.min_cost(block), want, name)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from anonsearch import cli
 from anonsearch.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_instance(tmp_path, x_cuts=(1,), rows=None):
@@ -266,3 +275,44 @@ def test_bad_data_value(tmp_path, capsys):
     assert main(["search", *base_args(data, config),
                  "--out", str(tmp_path / "o")]) == 2
     assert "not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "approx", "--alpha", "0.5"],
+    ["--max-queue", "0"],
+    ["--max-queue", "-3"],
+    ["--node-limit", "-1"],
+    ["--time-limit", "-2"],
+])
+def test_bad_search_flags_exit_2_before_reading_data(tmp_path, capsys,
+                                                     monkeypatch, flags):
+    data, config = write_instance(tmp_path)
+
+    def must_not_load(*args):
+        raise AssertionError("data read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_config", must_not_load)
+    out = tmp_path / "o"
+    assert main(["search", *base_args(data, config), *flags,
+                 "--out", str(out)]) == 2
+    assert f"error: {flags[-2]} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---- scripts ----
+
+def test_compare_script_smoke(tmp_path):
+    subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                        "make_adult_sample.py"),
+                    "--rows", "400", "--seed", "17", "--out-dir",
+                    str(tmp_path)], check=True, capture_output=True)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_greedy_search.py"),
+         "--dataset", str(tmp_path / "data.csv"),
+         "--config", str(tmp_path / "config.json"),
+         "--k", "10", "--node-limit", "2000"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("status=")
+               for line in proc.stdout.splitlines())

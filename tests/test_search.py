@@ -60,7 +60,12 @@ def test_config_validation():
         SearchConfig(mode="approx", alpha=0.5)
     with pytest.raises(ValueError):
         SearchConfig(priority="dfs")
+    for bad in ({"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
+                {"time_limit": -0.5}, {"time_limit": math.nan}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SearchConfig(**bad)
     assert SearchConfig(mode="optimal", alpha=7).alpha == 1.0
+    assert SearchConfig(node_limit=0, time_limit=0.0, max_queue=1)
 
 
 @settings(max_examples=35, deadline=None)
