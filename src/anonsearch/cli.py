@@ -29,7 +29,7 @@ from .enumeration import MULTI_LIMIT, count_partitions, distinct_signatures, \
 from .metrics import CountedBlock, make_metric, query_error_report, \
     theoretical_bound
 from .partition import Space
-from .search import SearchConfig, mondrian_greedy, search
+from .search import SearchConfig, SearchConfigError, mondrian_greedy, search
 from .splits import generate_splits
 
 
@@ -240,9 +240,9 @@ def _search_config(args) -> SearchConfig:
                             priority=args.priority, max_queue=args.max_queue,
                             time_limit=args.time_limit,
                             node_limit=args.node_limit)
-    except ValueError as exc:
-        field, _, why = str(exc).partition(" ")
-        raise ConfigError(f"--{field.replace('_', '-')} {why}") from None
+    except SearchConfigError as exc:
+        flag = "--" + exc.field.replace("_", "-")
+        raise ConfigError(f"{flag} {exc.reason}") from None
 
 
 def _cmd_search(args) -> int:

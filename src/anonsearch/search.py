@@ -45,6 +45,15 @@ from .partition import PartitionTree, Space, is_legal, legal_moves, normalize
 INF = math.inf
 
 
+class SearchConfigError(ValueError):
+    """A `SearchConfig` value out of range; `field` names the field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field = field
+        self.reason = reason
+
+
 @dataclass
 class SearchConfig:
     mode: str = "optimal"        # "optimal" | "approx"
@@ -55,24 +64,21 @@ class SearchConfig:
     node_limit: int | None = None     # generated nodes
 
     def __post_init__(self):
-        # each message starts with the field name, which the CLI turns
-        # into its flag
         if self.mode not in ("optimal", "approx"):
-            raise ValueError(f"mode must be optimal or approx, "
-                             f"got {self.mode!r}")
+            raise ValueError(f"bad mode {self.mode!r}")
         if self.mode == "optimal":
             self.alpha = 1.0
         elif not self.alpha >= 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha:g}")
+            raise SearchConfigError("alpha", f"must be >= 1, got {self.alpha:g}")
         if self.priority not in ("lb", "cost", "lbcost"):
-            raise ValueError(f"priority must be lb, cost or lbcost, "
-                             f"got {self.priority!r}")
+            raise ValueError(f"bad priority {self.priority!r}")
         if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
+            raise SearchConfigError(
+                "max_queue", f"must be >= 1, got {self.max_queue}")
         for name in ("time_limit", "node_limit"):
             value = getattr(self, name)
             if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value:g}")
+                raise SearchConfigError(name, f"must be >= 0, got {value:g}")
 
 
 @dataclass

@@ -13,8 +13,8 @@ from anonsearch.constraints import build_constraints
 from anonsearch.dataset import Dataset, load_config, sample_dataset
 from anonsearch.metrics import make_metric, theoretical_bound
 from anonsearch.partition import Space, is_legal, legal_moves
-from anonsearch.search import (SearchConfig, _Searcher, improve_from_seed,
-                               mondrian_greedy, search)
+from anonsearch.search import (SearchConfig, SearchConfigError, _Searcher,
+                               improve_from_seed, mondrian_greedy, search)
 from anonsearch.splits import Move, generate_splits
 
 from conftest import brute_best, build_space, random_instance, random_tree
@@ -62,8 +62,9 @@ def test_config_validation():
         SearchConfig(priority="dfs")
     for bad in ({"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
                 {"time_limit": -0.5}, {"time_limit": math.nan}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+        with pytest.raises(SearchConfigError) as info:
             SearchConfig(**bad)
+        assert info.value.field == next(iter(bad))
     assert SearchConfig(mode="optimal", alpha=7).alpha == 1.0
     assert SearchConfig(node_limit=0, time_limit=0.0, max_queue=1)
 
