@@ -350,19 +350,52 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _counted_blocks(part, names):
+    """The blocks of a loaded partition.json, each checked for a count
+    and a [lo, hi] range per QI attribute in `names`."""
+    if not isinstance(part, dict) or not isinstance(part.get("blocks"), list):
+        raise ConfigError('partition file must hold an object with a '
+                          '"blocks" list')
+    blocks = []
+    for i, bd in enumerate(part["blocks"]):
+        where = f"blocks[{i}]"
+        if not isinstance(bd, dict):
+            raise ConfigError(f"{where}: expected an object")
+        for key in ("extent", "count"):
+            if key not in bd:
+                raise ConfigError(f'{where}: missing "{key}"')
+        if not isinstance(bd["extent"], dict):
+            raise ConfigError(f'{where}: "extent" must be an object')
+        extent = []
+        for n in names:
+            rng = bd["extent"].get(n)
+            if not (isinstance(rng, list) and len(rng) == 2
+                    and all(map(_is_number, rng))):
+                raise ConfigError(f"{where}: extent of {n!r} must be [lo, hi]")
+            extent.append(tuple(rng))
+        if not _is_number(bd["count"]):
+            raise ConfigError(f'{where}: "count" must be a number')
+        blocks.append(CountedBlock(tuple(extent), int(bd["count"])))
+    return blocks
+
+
 def _cmd_query(args) -> int:
     space = _load_space(args)
     with open(args.partition) as fh:
         part = json.load(fh)
     names = [space.dataset.schema[i].name for i in space.qi]
-    blocks = []
-    for bd in part["blocks"]:
-        extent = tuple(tuple(bd["extent"][n]) for n in names)
-        blocks.append(CountedBlock(extent, int(bd["count"])))
+    blocks = _counted_blocks(part, names)
     with open(args.queries) as fh:
         queries = json.load(fh)
     if not isinstance(queries, list):
         raise ConfigError("queries file must hold a JSON list")
+    for i, spec in enumerate(queries):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"queries[{i}]: expected an object")
     report = query_error_report(space, blocks, queries)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -96,6 +96,7 @@ class Space:
                 extent.append((0, attr.taxonomy.n_leaves))
         self.root_block = Block(tuple(extent), tuple(range(len(dataset.rows))))
         self._split_cache: dict = {}
+        self._moves_cache: dict = {}
 
     def root_tree(self) -> "PartitionTree":
         return PartitionTree(self, Leaf(self.root_block), 0)
@@ -146,8 +147,13 @@ class Space:
 
         Numeric splits must fall strictly inside the extent. A sibling set
         applies only to a block whose extent along the attribute is exactly
-        the owning taxonomy node's leaf range.
+        the owning taxonomy node's leaf range. The list depends only on the
+        extent and is memoized per extent: it is shared between callers,
+        who must not mutate it.
         """
+        moves = self._moves_cache.get(block.extent)
+        if moves is not None:
+            return moves
         moves = []
         for qi_pos, attr_idx in enumerate(self.qi):
             lo, hi = block.extent[qi_pos]
@@ -161,6 +167,7 @@ class Space:
                 if exp is not None:
                     moves.append(exp)
         moves.sort(key=lambda m: m.id)
+        self._moves_cache[block.extent] = moves
         return moves
 
 
@@ -294,18 +301,29 @@ def _constraint2_ok(chain, path, move: Move) -> bool:
     cutting the same sibling set as its parent) is an artifact of laying
     a categorical expansion out as a chain, not a real subspace. The walk
     stops at the first non-cut head since cuts only get harder higher up.
+
+    The pending leaf straddles every split s of the move, so s passes
+    strictly through each ancestor's extent, and `is_cut(anc, s, pending)`
+    holds exactly when no leaf under `anc` other than the pending one
+    straddles s. An ancestor's subtree is the path child's subtree plus
+    its other child's, so one walk up the chain tests only the other
+    child at each depth: that child lies on the far side of the plane
+    when the ancestor splits s's attribute, and otherwise shares the
+    ancestor's extent along it. A split that fails there fails at every
+    shallower head too, so the move is legal at once.
     """
-    pending = chain[-1]
     for depth in range(len(path) - 1, -1, -1):
         anc = chain[depth]
+        t = anc.split
+        other = anc.left if path[depth] else anc.right
+        for s in move.splits:
+            if t.attr != s.attr and not is_cut(other, s):
+                return True
         if depth > 0 and path[depth - 1] == 1:
             ps = chain[depth - 1].split
-            if (not ps.numeric and not anc.split.numeric
-                    and ps.set_id == anc.split.set_id):
+            if not ps.numeric and not t.numeric and ps.set_id == t.set_id:
                 continue
-        if not all(is_cut(anc, s, pending) for s in move.splits):
-            return True
-        if move.id <= anc.split.id:
+        if move.id <= t.id:
             return False
     return True
 

@@ -28,6 +28,16 @@ j > i, added in that order: the same float as `lower_bound` of the
 child's tree. A child's tree is built only when it is queued or becomes
 the incumbent; most children are pruned at once, and a queued node
 holds no more than its tree, cost, bound and flag counts.
+
+The same block meets the same move in many nodes, so a child's terms
+are memoized per (block extent, move id) the first time a legal move
+needs them: the exact cost and the floor of each new block, in
+`move_blocks` order, and the change in flag counts. Scoring a child is
+then one lookup plus float additions: the parent's cost less the old
+block's, plus each new block's cost; `pre[i]`, plus each new floor,
+plus `mins[j]` for j > i. The stored terms are the very floats a
+block-by-block sum would add, in the same order, so costs and bounds
+stay bit-identical for every metric, vm included.
 """
 
 from __future__ import annotations
@@ -129,6 +139,7 @@ class _Searcher:
         self.bctx = BoundContext(space, metric)
         self.theory = theoretical_bound(metric, space)
         self._costs: dict = {}
+        self._terms: dict = {}   # (extent, move id) -> child's terms
         self.stats = SearchStats()
         self.progress: list = []
         self.best: float = INF
@@ -159,35 +170,54 @@ class _Searcher:
         lb = lower_bound(tree, self.bctx, self.cost_of)
         return _Node(tree, cost, lb, fa, fm)
 
+    def _move_terms(self, block, move):
+        """`(costs, floors, d_any, d_mono)` of applying `move` to `block`:
+        exact cost and finest-refinement cost of each new block in
+        `move_blocks` order, and the new blocks' flag counts minus the old
+        block's. Memoized per (extent, move id)."""
+        key = (block.extent, move.id)
+        terms = self._terms.get(key)
+        if terms is None:
+            new = self.space.move_blocks(block, move)
+            flags = [self.cons.block_flags(nb) for nb in new]
+            old_any, old_mono = self.cons.block_flags(block)
+            terms = (tuple(map(self.cost_of, new)),
+                     tuple(map(self.bctx.min_cost, new)),
+                     sum(a for a, _ in flags) - old_any,
+                     sum(m for _, m in flags) - old_mono)
+            self._terms[key] = terms
+        return terms
+
     def _children(self, node: _Node):
         """Score every legal child of `node` without building its tree.
 
         Yields `(path, move, cost, lb, fail_any, fail_mono)` in the order
-        of `legal_moves(node.tree)`; the bound is summed as the module
-        docstring describes.
+        of `legal_moves(node.tree)`. Per frontier leaf the parent's cost
+        less the leaf's is taken once; per child the memoized terms of
+        `_move_terms` are added to it, and the bound is summed as the
+        module docstring describes.
         """
-        cost_of, flags = self.cost_of, self.cons.block_flags
-        min_cost, move_blocks = self.bctx.min_cost, self.space.move_blocks
-        leaves, pre, mins = frontier(node.tree, self.bctx, cost_of)
+        leaves, pre, mins = frontier(node.tree, self.bctx, self.cost_of)
         index = {path: i for i, (path, _) in enumerate(leaves)}
+        last = None
         for path, move in legal_moves(node.tree, leaves):
-            i = index[path]
-            old = leaves[i][1].block
-            cost = node.cost - cost_of(old)
-            fa, fm = node.fail_any, node.fail_mono
-            oa, om = flags(old)
-            fa -= oa
-            fm -= om
+            if path != last:
+                last = path
+                i = index[path]
+                old = leaves[i][1].block
+                base = node.cost - self.cost_of(old)
+                rest = mins[i + 1:]
+            costs, floors, d_any, d_mono = self._move_terms(old, move)
+            cost = base
+            for c in costs:
+                cost += c
             lb = pre[i]
-            for nb in move_blocks(old, move):
-                cost += cost_of(nb)
-                a, m = flags(nb)
-                fa += a
-                fm += m
-                lb += min_cost(nb)
-            for floor in mins[i + 1:]:
+            for floor in floors:
                 lb += floor
-            yield path, move, cost, lb, fa, fm
+            for floor in rest:
+                lb += floor
+            yield (path, move, cost, lb, node.fail_any + d_any,
+                   node.fail_mono + d_mono)
 
     def _key(self, node: _Node):
         if self.cfg.priority == "cost":
@@ -218,11 +248,12 @@ class _Searcher:
         self._progress_row()
 
     def _progress_row(self):
+        glb = self._current_glb()
         self.progress.append({
             "elapsed_ms": (time.monotonic() - self._t0) * 1000.0,
             "best_cost": self.best,
-            "lower_bound": self._current_glb(),
-            "ratio": self._ratio(self.best, self._current_glb()),
+            "lower_bound": glb,
+            "ratio": self._ratio(self.best, glb),
             "queue": len(self.heap),
         })
 
@@ -233,7 +264,7 @@ class _Searcher:
         if math.isfinite(self.dropped_min):
             cands.append(self.dropped_min)
         if self.heap:
-            cands.append(min(e[2].lb for e in self.heap))
+            cands.append(min(e[-1].lb for e in self.heap))
         if cands:
             g = min(cands)
         else:
@@ -261,7 +292,9 @@ class _Searcher:
         if len(self.heap) >= self.cfg.max_queue:
             self._probe()
         self._seq += 1
-        heapq.heappush(self.heap, (self._key(node), self._seq, node))
+        # flat (key..., seq, node): no key tuple per entry; seq is unique,
+        # so the node is never compared
+        heapq.heappush(self.heap, (*self._key(node), self._seq, node))
         self.stats.max_queue_seen = max(self.stats.max_queue_seen,
                                         len(self.heap))
 
@@ -290,10 +323,10 @@ class _Searcher:
     def _probe(self):
         self.stats.probes += 1
         if self.heap:
-            self._dive(self.heap[0][2])
+            self._dive(self.heap[0][-1])
         alive = []
         for entry in self.heap:
-            node = entry[2]
+            node = entry[-1]
             if self.cfg.alpha * node.lb < self.best:
                 alive.append(entry)
             else:
@@ -302,11 +335,11 @@ class _Searcher:
         self.heap = alive
         half = max(1, self.cfg.max_queue // 2)
         if len(self.heap) > half:
-            self.heap.sort(key=lambda e: (e[0], e[1]))
+            self.heap.sort(key=lambda e: e[:-1])
             while len(self.heap) > half:
                 k = max(1, len(self.heap) // 10)
                 for entry in self.heap[-k:]:
-                    self.dropped_min = min(self.dropped_min, entry[2].lb)
+                    self.dropped_min = min(self.dropped_min, entry[-1].lb)
                     self.stats.forced_drops += 1
                 del self.heap[-k:]
         heapq.heapify(self.heap)
@@ -345,7 +378,7 @@ class _Searcher:
             if self._out_of_budget():
                 budget_hit = True
                 break
-            _, _, node = heapq.heappop(self.heap)
+            node = heapq.heappop(self.heap)[-1]
             if cfg.alpha * node.lb >= self.best:
                 self.stats.pruned_bound += 1
                 self.frontier_min = min(self.frontier_min, node.lb)

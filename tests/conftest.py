@@ -156,6 +156,29 @@ def geometric_is_cut(node, s, pending=None) -> bool:
     return True
 
 
+def reference_legal_move(tree, path, move) -> bool:
+    """The duplicate-free rule checked head by head from the leaf up: the
+    leaf must be splittable; at each move head (continuation nodes of a
+    categorical chain skipped) the move is legal if some split of it is
+    not a full cut of the head's subspace, with the target leaf counted
+    as cut, and redundant if every split is and its id is not larger
+    than the head's. Re-tests each head's whole subtree geometrically."""
+    if path not in [p for p, _ in tree.splittable_leaves()]:
+        return False
+    pending = tree.node_at(path)
+    for depth in range(len(path) - 1, -1, -1):
+        anc = tree.node_at(path[:depth])
+        if depth > 0 and path[depth - 1] == 1:
+            ps, t = tree.node_at(path[:depth - 1]).split, anc.split
+            if not ps.numeric and not t.numeric and ps.set_id == t.set_id:
+                continue
+        if not all(geometric_is_cut(anc, s, pending) for s in move.splits):
+            return True
+        if move.id <= anc.split.id:
+            return False
+    return True
+
+
 def rebuild_canonical(space: Space, blocks):
     """Reconstruct the canonical tree of a partition from its blocks by
     always cutting with the smallest-id applicable move that every block

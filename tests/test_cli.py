@@ -243,6 +243,35 @@ def test_query_rejects_non_list(tmp_path, capsys):
                  "--out", str(tmp_path / "q")]) == 2
 
 
+@pytest.mark.parametrize("partition, queries, message", [
+    ({"blocks": [{"count": 8}]}, None, 'blocks[0]: missing "extent"'),
+    ([], None, '"blocks" list'),
+    ({"blocks": ["x"]}, None, "blocks[0]: expected an object"),
+    ({"blocks": [{"count": 8, "extent": {"w": [0, 4]}}]}, None,
+     "blocks[0]: extent of 'x' must be [lo, hi]"),
+    ({"blocks": [{"count": "many", "extent": {"w": [0, 4], "x": [0, 2]}}]},
+     None, 'blocks[0]: "count" must be a number'),
+    (None, ["x"], "queries[0]: expected an object"),
+    (None, [{"w": "pub"}, 3], "queries[1]: expected an object"),
+], ids=["no-extent", "list-file", "block-not-object", "extent-lacks-attr",
+        "bad-count", "query-not-object", "second-query-not-object"])
+def test_query_malformed_input_exits_2(tmp_path, capsys, partition, queries,
+                                       message):
+    data, config = write_instance(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", *base_args(data, config), "--k", "2",
+                 "--out", str(out)]) == 0
+    part = out / "partition.json"
+    if partition is not None:
+        part.write_text(json.dumps(partition))
+    qfile = tmp_path / "queries.json"
+    qfile.write_text(json.dumps(queries or [{"w": "pub"}]))
+    capsys.readouterr()
+    assert main(["query", *base_args(data, config), "--partition", str(part),
+                 "--queries", str(qfile), "--out", str(tmp_path / "q")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---- error paths ----
 
 def test_missing_file_is_config_error(tmp_path, capsys):

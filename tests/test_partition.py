@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonsearch.partition import (Internal, Leaf, detect_legal_move, is_cut,
-                                  is_legal, legal_moves, normalize,
-                                  parent_child_switch)
+from anonsearch.enumeration import enumerate_trees
+from anonsearch.partition import (Block, Internal, Leaf, Space,
+                                  detect_legal_move, is_cut, is_legal,
+                                  legal_moves, normalize, parent_child_switch)
 from anonsearch.splits import Move
 
 from conftest import (build_space, geometric_is_cut, random_instance,
-                      random_loose_tree, random_tree, rebuild_canonical)
+                      random_loose_tree, random_tree, rebuild_canonical,
+                      reference_legal_move)
 
 
 def mv(space, split_id):
@@ -74,6 +76,18 @@ def test_available_moves_categorical_exact_range_only(tax_space):
     assert [m.id for m in tax_space.available_moves(left)][0] == 3
 
 
+def test_available_moves_memoized_per_extent(grid_space, tax_space):
+    # the list is shared per extent; a cold space must agree with a warm one
+    for space in (grid_space, tax_space):
+        cold = Space(space.dataset, space.splits)
+        for tree in enumerate_trees(space):
+            for b in tree.leaf_blocks():
+                moves = space.available_moves(b)
+                again = space.available_moves(Block(b.extent, b.rows))
+                assert again is moves
+                assert cold.available_moves(b) == moves
+
+
 def test_apply_move_timestamps_preorder(grid_space):
     t = grid_space.root_tree()
     t = t.apply_move((), mv(grid_space, 2))
@@ -98,6 +112,26 @@ def test_is_cut_matches_geometry(seed):
         pending = rng.choice(pendings)
         assert is_cut(tree.root, s, pending) == \
             geometric_is_cut(tree.root, s, pending)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_detect_legal_move_matches_head_by_head_reference(seed):
+    # the one-pass check tests only each ancestor's other child; the
+    # reference re-tests every head's whole subtree geometrically
+    rng = random.Random(seed)
+    while True:   # draw until a taxonomy expansion is a chain of cuts
+        space = random_instance(rng, total_splits=rng.randint(3, 6))
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            break
+    for _ in range(4):
+        tree = random_tree(space, rng, max_moves=8)
+        for path, node in tree.pre_order():
+            if not isinstance(node, Leaf):
+                continue
+            for move in space.available_moves(node.block):
+                assert detect_legal_move(tree, path, move) == \
+                    reference_legal_move(tree, path, move)
 
 
 def test_duplicate_partition_blocked(grid_space):
