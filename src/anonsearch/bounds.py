@@ -18,16 +18,18 @@ leaves, so a bound is the exact cost of the frozen prefix plus the
 finest-refinement cost of the frontier, added in pre-order. Growing
 frontier leaf i freezes frontier leaves 0..i-1, puts the move's blocks in
 place of leaf i and keeps the rest. A child's bound therefore follows
-from its parent's `frontier` without walking the child's tree; the search
-adds the same terms in the same order, so it equals `lower_bound` of the
-child bit for bit.
+from its parent's `frontier` without walking the child's tree, and so
+does its frozen prefix: `pre[i]`, the parent's frozen prefix plus the
+exact costs of frontier leaves 0..i-1, the very additions a walk of the
+child's leaves would make. `frontier` takes the frozen prefix from the
+caller and walks only the tail of the tree (`splittable_leaves`); the
+search carries it on each node and adds the same terms in the same
+order, so its bounds equal `lower_bound` of the child bit for bit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-
-from .partition import Leaf
 
 
 class BoundContext:
@@ -87,42 +89,49 @@ class BoundContext:
         return total
 
 
-def frontier(tree, ctx: BoundContext, cost_of):
-    """One walk of `tree` for its bound: `(leaves, pre, mins)`.
+def frontier(tree, ctx: BoundContext, cost_of, frozen: float):
+    """The bound terms of `tree` from its frontier: `(leaves, pre, mins)`.
 
     `leaves` are the refinable leaves as `(path, leaf)` in pre-order (the
     frontier), `mins[j]` is the finest-refinement cost of `leaves[j]`, and
     `pre[j]` is the running pre-order sum of exact leaf costs up to, not
     including, `leaves[j]`; `pre[-1]` is the exact cost of the whole tree.
-    The frontier is a pre-order suffix of the leaves, so `pre[0]` is the
-    exact cost of the frozen prefix.
+    The frontier is a pre-order suffix of the leaves, so the sum starts
+    at `frozen`, the exact cost of the leaves before it added in
+    pre-order, and only the frontier is walked.
     """
-    refinable = {path for path, _ in tree.splittable_leaves()}
-    leaves, pre, mins = [], [], []
-    total = 0.0
-    for path, node in tree.pre_order():
-        if not isinstance(node, Leaf):
-            continue
-        if path in refinable:
-            leaves.append((path, node))
-            pre.append(total)
-            mins.append(ctx.min_cost(node.block))
+    leaves = tree.splittable_leaves()
+    pre, mins = [], []
+    total = frozen
+    for _, node in leaves:
+        pre.append(total)
+        mins.append(ctx.min_cost(node.block))
         total += cost_of(node.block)
     pre.append(total)
     return leaves, pre, mins
 
 
+def frozen_cost(tree, cost_of) -> float:
+    """Exact cost of the leaves before the frontier, added in pre-order."""
+    blocks = tree.leaf_blocks()
+    total = 0.0
+    for b in blocks[:len(blocks) - len(tree.splittable_leaves())]:
+        total += cost_of(b)
+    return total
+
+
 def lower_bound(tree, ctx: BoundContext, cost_of=None) -> float:
     """Lower bound over the partitions reachable from `tree`: the frozen
     prefix at exact cost plus the frontier at finest-refinement cost,
-    added in pre-order.
+    added in pre-order. Walks the whole tree; the search carries the
+    frozen prefix instead.
 
     `cost_of` maps a block to its exact metric cost; defaults to the
     context's metric.
     """
     if cost_of is None:
         cost_of = ctx.metric.block_cost
-    _, pre, mins = frontier(tree, ctx, cost_of)
+    _, pre, mins = frontier(tree, ctx, cost_of, frozen_cost(tree, cost_of))
     total = pre[0]
     for m in mins:
         total += m

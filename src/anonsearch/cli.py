@@ -412,9 +412,19 @@ def _cmd_query(args) -> int:
     return 0
 
 
+def _check_counts(args):
+    """Reject a non-positive --k, --sample or --limit before any data is
+    read."""
+    for name in ("k", "sample", "limit"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         if args.command == "search":
             return _cmd_search(args)
         if args.command == "greedy":

@@ -27,7 +27,7 @@ class KAnonymity:
 
     def __init__(self, k: int):
         if k < 1:
-            raise ConfigError("k must be >= 1")
+            raise ConfigError(f"k must be >= 1, got {k}")
         self.k = int(k)
 
     def block_ok(self, block) -> bool:
@@ -296,7 +296,7 @@ def build_constraints(space, k=None, min_lengths=None, l_div=None,
                 sensitive = a.name
                 break
     out = []
-    if k is not None and k > 1:
+    if k is not None and k != 1:   # k = 1 is no constraint; k < 1 raises
         out.append(KAnonymity(k))
     if min_lengths:
         out.append(MinLength(space, min_lengths))

@@ -202,34 +202,41 @@ class PartitionTree:
         return [n.block for _, n in self.pre_order() if isinstance(n, Leaf)]
 
     def splittable_leaves(self):
-        """Leaves that may still be split.
+        """Leaves that may still be split, as `(path, leaf)` in pre-order.
 
-        A leaf freezes once a later move lands after it in pre-order.
-        The marker is the head of the most recent move: the chain of
-        sibling boundaries added by one categorical expansion is a
-        single event, so a continuation node (a tree-right child cutting
-        the same sibling set as its parent) never advances the marker.
+        A leaf freezes once a later move lands after it in pre-order, so
+        the splittable leaves are those after the head of the most recent
+        move. The chain of sibling boundaries added by one categorical
+        expansion is a single event: a continuation node (a tree-right
+        child cutting the same sibling set as its parent) is not a head.
+
+        The walk runs in reverse pre-order (right child popped before
+        left) with a sentinel pushed under each head, which pops right
+        after the head's subtree. The first sentinel to pop belongs to
+        the last head in pre-order, so the walk stops there, having
+        visited only the leaves after it and their ancestors.
         """
         leaves = []
-        marker = -1
-        idx = 0
-        stack = [((), self.root, False)]
-        while stack:
-            path, node, cont = stack.pop()
-            if isinstance(node, Internal):
-                if not cont:
-                    marker = idx
-                s = node.split
-                right_cont = (isinstance(node.right, Internal)
-                              and not s.numeric
-                              and not node.right.split.numeric
-                              and node.right.split.set_id == s.set_id)
-                stack.append((path + (1,), node.right, right_cont))
-                stack.append((path + (0,), node.left, False))
-            else:
-                leaves.append((idx, path, node))
-            idx += 1
-        return [(path, node) for idx, path, node in leaves if idx > marker]
+        stack = [None, ((), self.root)]
+        while True:
+            entry = stack.pop()
+            if entry is None:
+                break
+            path, node = entry
+            if isinstance(node, Leaf):
+                leaves.append(entry)
+                continue
+            s, left, right = node.split, node.left, node.right
+            if isinstance(left, Internal):
+                stack.append(None)
+            stack.append((path + (0,), left))
+            if isinstance(right, Internal) and (
+                    s.numeric or right.split.numeric
+                    or right.split.set_id != s.set_id):
+                stack.append(None)
+            stack.append((path + (1,), right))
+        leaves.reverse()
+        return leaves
 
     def signature(self):
         return tuple(sorted(b.extent for b in self.leaf_blocks()))

@@ -19,15 +19,23 @@ The node and time budgets are checked before every expansion and every
 dive step.
 
 Children are scored without building their trees. Expanding a node
-walks its tree once (`bounds.frontier`): the refinable leaves form a
-pre-order suffix, with `pre[i]` the exact cost of every leaf before
-frontier leaf i and `mins` the frontier's finest-refinement costs.
-Growing frontier leaf i freezes the leaves before it, so the child's
-bound is `pre[i]`, plus the floor of each new block, plus `mins[j]` for
-j > i, added in that order: the same float as `lower_bound` of the
-child's tree. A child's tree is built only when it is queued or becomes
-the incumbent; most children are pruned at once, and a queued node
-holds no more than its tree, cost, bound and flag counts.
+walks only the tail of its tree (`bounds.frontier`): the refinable
+leaves form a pre-order suffix, which `splittable_leaves` finds in
+reverse pre-order, stopping at the last move head. Each node carries
+`frozen`, the exact cost of the leaves before that suffix added in
+pre-order, so `pre[i]`, the exact cost of every leaf before frontier
+leaf i, is `frozen` plus the frontier's costs before i, and `mins` are
+the frontier's finest-refinement costs. Growing frontier leaf i freezes
+the leaves before it, so the child's bound is `pre[i]`, plus the floor
+of each new block, plus `mins[j]` for j > i, added in that order: the
+same float as `lower_bound` of the child's tree. The child's frozen
+leaves are the parent's leaves before leaf i, so its `frozen` is
+`pre[i]`, bit-identical to a sum over its tree. Only a tree evaluated
+from scratch (the root, a seed) has its `frozen` summed from a walk of
+all its leaves; the root's is 0.0. A child's tree is built only when it
+is queued or becomes the incumbent; most children are pruned at once,
+and a queued node holds no more than its tree, cost, bound, frozen
+prefix and flag counts.
 
 The same block meets the same move in many nodes, so a child's terms
 are memoized per (block extent, move id) the first time a legal move
@@ -47,7 +55,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .bounds import BoundContext, frontier, lower_bound
+from .bounds import BoundContext, frontier, frozen_cost, lower_bound
 from .constraints import ConstraintSet
 from .metrics import Metric, theoretical_bound
 from .partition import PartitionTree, Space, is_legal, legal_moves, normalize
@@ -127,6 +135,7 @@ class _Node:
     lb: float
     fail_any: int     # blocks violating any constraint
     fail_mono: int    # blocks violating a monotone constraint
+    frozen: float     # exact cost of the leaves before the frontier
 
 
 class _Searcher:
@@ -168,7 +177,7 @@ class _Searcher:
             fa += a
             fm += m
         lb = lower_bound(tree, self.bctx, self.cost_of)
-        return _Node(tree, cost, lb, fa, fm)
+        return _Node(tree, cost, lb, fa, fm, frozen_cost(tree, self.cost_of))
 
     def _move_terms(self, block, move):
         """`(costs, floors, d_any, d_mono)` of applying `move` to `block`:
@@ -191,13 +200,15 @@ class _Searcher:
     def _children(self, node: _Node):
         """Score every legal child of `node` without building its tree.
 
-        Yields `(path, move, cost, lb, fail_any, fail_mono)` in the order
-        of `legal_moves(node.tree)`. Per frontier leaf the parent's cost
-        less the leaf's is taken once; per child the memoized terms of
-        `_move_terms` are added to it, and the bound is summed as the
-        module docstring describes.
+        Yields `(path, move, cost, lb, fail_any, fail_mono, frozen)` in
+        the order of `legal_moves(node.tree)`. Per frontier leaf the
+        parent's cost less the leaf's is taken once; per child the
+        memoized terms of `_move_terms` are added to it, and the bound is
+        summed as the module docstring describes. `frozen` is the child's
+        frozen prefix, `pre[i]`.
         """
-        leaves, pre, mins = frontier(node.tree, self.bctx, self.cost_of)
+        leaves, pre, mins = frontier(node.tree, self.bctx, self.cost_of,
+                                     node.frozen)
         index = {path: i for i, (path, _) in enumerate(leaves)}
         last = None
         for path, move in legal_moves(node.tree, leaves):
@@ -217,7 +228,7 @@ class _Searcher:
             for floor in rest:
                 lb += floor
             yield (path, move, cost, lb, node.fail_any + d_any,
-                   node.fail_mono + d_mono)
+                   node.fail_mono + d_mono, pre[i])
 
     def _key(self, node: _Node):
         if self.cfg.priority == "cost":
@@ -303,22 +314,22 @@ class _Searcher:
     def _dive(self, node: _Node):
         cur = node
         while not self._out_of_budget():
-            best = None   # (cost, path, move, lb, tree or None)
-            for path, move, cost, lb, fa, fm in self._children(cur):
+            best = None   # (cost, path, move, lb, frozen, tree or None)
+            for path, move, cost, lb, fa, fm, frozen in self._children(cur):
                 self.stats.generated += 1
                 if fm:
                     continue
                 tree = self._offer(cur.tree, path, move, cost, fa)
                 if fa == 0 and (best is None or cost < best[0]):
-                    best = (cost, path, move, lb, tree)
+                    best = (cost, path, move, lb, frozen, tree)
             if best is None:
                 return
-            cost, path, move, lb, tree = best
+            cost, path, move, lb, frozen, tree = best
             if cur.fail_any == 0 and cost >= cur.cost:
                 return
             if tree is None:
                 tree = cur.tree.apply_move(path, move)
-            cur = _Node(tree, cost, lb, 0, 0)
+            cur = _Node(tree, cost, lb, 0, 0, frozen)
 
     def _probe(self):
         self.stats.probes += 1
@@ -384,7 +395,7 @@ class _Searcher:
                 self.frontier_min = min(self.frontier_min, node.lb)
                 continue
             self.stats.expanded += 1
-            for path, move, cost, lb, fa, fm in self._children(node):
+            for path, move, cost, lb, fa, fm, frozen in self._children(node):
                 self.stats.generated += 1
                 if fm:
                     self.stats.pruned_infeasible += 1
@@ -393,7 +404,7 @@ class _Searcher:
                 if cfg.alpha * lb < self.best:
                     if tree is None:
                         tree = node.tree.apply_move(path, move)
-                    self._push(_Node(tree, cost, lb, fa, fm))
+                    self._push(_Node(tree, cost, lb, fa, fm, frozen))
                 else:
                     self.stats.pruned_bound += 1
                     self.frontier_min = min(self.frontier_min, lb)
@@ -475,35 +486,42 @@ def mondrian_greedy(space: Space, metric: Metric,
             costs[block.extent] = c
         return c
 
+    def best_move(block):
+        """`(delta, move.id, move, new_blocks)` of the block's best
+        feasible move, or None. Depends on the block alone."""
+        best = None
+        for move in space.available_moves(block):
+            new_blocks = space.move_blocks(block, move)
+            if not all(constraints.block_ok(nb) for nb in new_blocks):
+                continue
+            delta = sum(cost_of(nb) for nb in new_blocks) - cost_of(block)
+            if best is None or (delta, move.id) < best[:2]:
+                best = (delta, move.id, move, new_blocks)
+        return best
+
     root = space.root_block
     if not constraints.feasible([root]):
         return GreedyResult(None, INF, False, 0)
     tree = space.root_tree()
-    where = {root.extent: ((), root)}
+    # open block extent -> (path, best move); a step changes one block,
+    # so only the blocks it creates are scored
+    where = {root.extent: ((), best_move(root))}
     total = cost_of(root)
     steps = 0
     while True:
-        best = None
-        for extent in sorted(where):
-            path, block = where[extent]
-            for move in space.available_moves(block):
-                new_blocks = space.move_blocks(block, move)
-                if not all(constraints.block_ok(nb) for nb in new_blocks):
-                    continue
-                delta = sum(cost_of(nb) for nb in new_blocks) - cost_of(block)
-                cand = (delta, move.id, extent)
-                if best is None or cand < best[0]:
-                    best = (cand, path, move, new_blocks)
-        if best is None or best[0][0] > 0:
+        cands = [(best[0], best[1], extent)
+                 for extent, (_, best) in where.items() if best is not None]
+        if not cands:
             break
-        _, path, move, new_blocks = best
-        old_extent = tree.node_at(path).block.extent
+        delta, _, extent = min(cands)
+        if delta > 0:
+            break
+        path, (_, _, move, new_blocks) = where.pop(extent)
         tree = tree.apply_move(path, move)
-        del where[old_extent]
         for i, nb in enumerate(new_blocks[:-1]):
-            where[nb.extent] = (path + (1,) * i + (0,), nb)
+            where[nb.extent] = (path + (1,) * i + (0,), best_move(nb))
         where[new_blocks[-1].extent] = (path + (1,) * len(move.splits),
-                                        new_blocks[-1])
-        total += best[0][0]
+                                        best_move(new_blocks[-1]))
+        total += delta
         steps += 1
     return GreedyResult(normalize(tree), total, True, steps)

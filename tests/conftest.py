@@ -123,7 +123,7 @@ def random_loose_tree(space: Space, rng: random.Random, max_moves=6):
     tree = space.root_tree()
     for _ in range(rng.randint(0, max_moves)):
         options = []
-        for path, leaf in tree.splittable_leaves():
+        for path, leaf in reference_splittable_leaves(tree):
             for move in space.available_moves(leaf.block):
                 options.append((path, move))
         if not options:
@@ -156,6 +156,38 @@ def geometric_is_cut(node, s, pending=None) -> bool:
     return True
 
 
+def reference_splittable_leaves(tree):
+    """Leaves that may still be split, by a forward pre-order walk of the
+    whole tree.
+
+    A leaf freezes once a later move lands after it in pre-order.
+    The marker is the head of the most recent move: the chain of
+    sibling boundaries added by one categorical expansion is a
+    single event, so a continuation node (a tree-right child cutting
+    the same sibling set as its parent) never advances the marker.
+    """
+    leaves = []
+    marker = -1
+    idx = 0
+    stack = [((), tree.root, False)]
+    while stack:
+        path, node, cont = stack.pop()
+        if isinstance(node, Internal):
+            if not cont:
+                marker = idx
+            s = node.split
+            right_cont = (isinstance(node.right, Internal)
+                          and not s.numeric
+                          and not node.right.split.numeric
+                          and node.right.split.set_id == s.set_id)
+            stack.append((path + (1,), node.right, right_cont))
+            stack.append((path + (0,), node.left, False))
+        else:
+            leaves.append((idx, path, node))
+        idx += 1
+    return [(path, node) for idx, path, node in leaves if idx > marker]
+
+
 def reference_legal_move(tree, path, move) -> bool:
     """The duplicate-free rule checked head by head from the leaf up: the
     leaf must be splittable; at each move head (continuation nodes of a
@@ -163,7 +195,7 @@ def reference_legal_move(tree, path, move) -> bool:
     not a full cut of the head's subspace, with the target leaf counted
     as cut, and redundant if every split is and its id is not larger
     than the head's. Re-tests each head's whole subtree geometrically."""
-    if path not in [p for p, _ in tree.splittable_leaves()]:
+    if path not in [p for p, _ in reference_splittable_leaves(tree)]:
         return False
     pending = tree.node_at(path)
     for depth in range(len(path) - 1, -1, -1):

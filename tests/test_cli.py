@@ -328,7 +328,43 @@ def test_bad_search_flags_exit_2_before_reading_data(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--k", "-3"],
+    ["search", "--k", "0"],
+    ["greedy", "--k", "-2"],
+    ["search", "--sample", "-5"],
+    ["greedy", "--sample", "0"],
+    ["enumerate-count", "--limit", "-1"],
+    ["enumerate-count", "--limit", "0"],
+])
+def test_non_positive_counts_exit_2_before_reading_data(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    data, config = write_instance(tmp_path)
+
+    def must_not_load(*args):
+        raise AssertionError("data read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_config", must_not_load)
+    command, flag, value = argv
+    out = tmp_path / "o"
+    tail = [] if command == "enumerate-count" else ["--out", str(out)]
+    assert main([command, *base_args(data, config), flag, value,
+                 *tail]) == 2
+    assert f"error: {flag} must be >= 1, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---- scripts ----
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "anonsearch", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: anonsearch" in proc.stdout
+
 
 def test_compare_script_smoke(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "scripts" /

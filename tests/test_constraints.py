@@ -204,6 +204,13 @@ def test_k_of_one_adds_nothing(tax_space):
     assert len(build_constraints(tax_space, k=2)) == 1
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_k_below_one_is_refused(tax_space, k):
+    # skipping it would run with no k-anonymity at all
+    with pytest.raises(ConfigError, match=f"k must be >= 1, got {k}"):
+        build_constraints(tax_space, k=k)
+
+
 def test_assume_monotone_flag(tax_space):
     cons = build_constraints(tax_space, t_close=0.5,
                              assume_monotone=("t_closeness",))

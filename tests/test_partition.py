@@ -12,7 +12,7 @@ from anonsearch.splits import Move
 
 from conftest import (build_space, geometric_is_cut, random_instance,
                       random_loose_tree, random_tree, rebuild_canonical,
-                      reference_legal_move)
+                      reference_legal_move, reference_splittable_leaves)
 
 
 def mv(space, split_id):
@@ -96,6 +96,24 @@ def test_apply_move_timestamps_preorder(grid_space):
     assert [p for p, _ in t.splittable_leaves()] == [(0, 0), (0, 1), (1,)]
     t = t.apply_move((1,), mv(grid_space, 3))
     assert [p for p, _ in t.splittable_leaves()] == [(1, 0), (1, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_splittable_leaves_matches_forward_walk(seed):
+    # the tail walk stops at the last move head in reverse pre-order; the
+    # reference walks the whole tree forward with a marker. Loose trees
+    # put heads and categorical chains in non-canonical places.
+    rng = random.Random(seed)
+    while True:   # draw until a taxonomy expansion is a chain of cuts
+        space = random_instance(rng, total_splits=rng.randint(3, 6))
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            break
+    for grow in (random_tree, random_loose_tree):
+        for _ in range(4):
+            tree = grow(space, rng, max_moves=8)
+            assert tree.splittable_leaves() == \
+                reference_splittable_leaves(tree)
 
 
 # ---- full-cut detection ----

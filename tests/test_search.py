@@ -227,10 +227,17 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
         tree = random_tree(space, rng)
         kids = list(searcher._children(searcher._evaluate(tree)))
         assert [(p, m) for p, m, *_ in kids] == legal_moves(tree)
-        for path, move, cost, lb, fa, fm in kids:
+        for path, move, cost, lb, fa, fm, frozen in kids:
             child = tree.apply_move(path, move)
             want = lower_bound(child, searcher.bctx, searcher.cost_of)
             assert lb == want and type(lb) is type(want)
+            # the carried prefix is the pre-order sum of the child's
+            # frozen leaves, the very float a walk of its leaves gives
+            blocks = child.leaf_blocks()
+            prefix = 0.0
+            for b in blocks[:len(blocks) - len(child.splittable_leaves())]:
+                prefix += searcher.cost_of(b)
+            assert frozen == prefix and type(frozen) is float
             ref = searcher._evaluate(child)
             assert (fa, fm) == (ref.fail_any, ref.fail_mono)
             assert cost == pytest.approx(ref.cost, rel=1e-12)
