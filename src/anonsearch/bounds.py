@@ -8,10 +8,9 @@ For the squared-size metric a cell below the minimum admissible size k
 is charged k per tuple, since any feasible solution must merge it into a
 block of at least k tuples.
 
-Every block extent lies on split planes, so each row's global finest
-cell lies inside every block that holds the row, and a block's finest
-cells are exactly the cells of its rows: `BoundContext` bins the rows
-into those cells once and never bisects a block's rows again.
+Every block extent lies on split planes, so a block's finest cells are
+exactly the cells it lists (`Block.cells`, binned once by the `Space`),
+and its finest-refinement cost is the sum of their floors.
 
 The refinable leaves (the frontier) are a pre-order suffix of the
 leaves, so a bound is the exact cost of the frozen prefix plus the
@@ -29,61 +28,30 @@ order, so its bounds equal `lower_bound` of the child bit for bit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 
 class BoundContext:
-    """Finest-cell table plus finest-refinement costs memoized per extent.
+    """Per-cell metric floors plus finest-refinement costs memoized per
+    extent.
 
-    The table is built once per search in O(N * d) for N rows and d QI
-    attributes: one bisection per row and attribute, boundary values
-    placed as `Space.apply_split` places them. It keeps each non-empty
-    cell's metric floor and each row's cell. A new extent costs one list
-    lookup per block row plus a sort of the block's distinct cells, so no
-    block costs more than binning its rows afresh.
-
-    Cells are numbered, and their floors summed, in the order of their
-    first row, as a scan of a block's rows meets them. Row order can thus
-    move only the last ulp of a vm sum; dm and cm floors are integers,
-    exact in any order.
+    The finest-cell table lives on the `Space`; this keeps the metric's
+    floor of each non-empty cell. A new extent costs one addition per
+    cell of the block, in ascending cell order: the order of the cells'
+    first rows, so row order can move only the last ulp of a vm sum; dm
+    and cm floors are integers, exact in any order.
     """
 
     def __init__(self, space, metric):
         self.metric = metric
         self._memo: dict = {}
-        planes = [space.splits.planes(a) for a in space.qi]
-        binned = [(bisect_left if attr.is_numeric else bisect_right,
-                   cuts, space.columns[a]) for a, attr, cuts
-                  in zip(space.qi, space.qi_schema, planes)]
-        index: dict = {}    # cell index tuple -> cell position
-        self._cell_of = [
-            index.setdefault(tuple([find(cuts, col[r])
-                                    for find, cuts, col in binned]),
-                             len(index))
-            for r in space.root_block.rows]
-        members = [[] for _ in index]
-        for r, cell in enumerate(self._cell_of):
-            members[cell].append(r)
-
-        # cell i of an attribute spans edges[i]..edges[i + 1]
-        edges = [[lo, *cuts, hi] for cuts, (lo, hi)
-                 in zip(planes, space.root_block.extent)]
-        labels = getattr(metric, "labels", None)
-        volume = getattr(metric, "volume", None)
-        self._floors = []
-        for key, rows in zip(index, members):
-            vol = 0.0
-            if volume is not None:
-                vol = volume(tuple((e[i], e[i + 1]) for i, e in zip(key, edges)))
-            cell_labels = None if labels is None else [labels[r] for r in rows]
-            self._floors.append(metric.floor_cost(len(rows), vol, cell_labels))
+        self._floors = [metric.floor_cost(space.cell_block(cell))
+                        for cell in range(len(space.cell_counts))]
 
     def min_cost(self, block) -> float:
         hit = self._memo.get(block.extent)
         if hit is not None:
             return hit
         total = 0.0
-        for cell in sorted(set(map(self._cell_of.__getitem__, block.rows))):
+        for cell in block.cells:
             total += self._floors[cell]
         self._memo[block.extent] = total
         return total

@@ -6,12 +6,14 @@ by further splitting and the search may discard it outright. Size, length
 and entropy diversity checks are monotone; distribution-distance checks
 are not, so they only filter candidate solutions unless the caller opts
 in to treating them as monotone.
+
+The distribution checks read a block's sensitive histogram, the sum of
+its finest cells' histograms (`Space.histogram`); no check scans rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,13 +88,16 @@ class EntropyLDiversity:
         if l <= 1:
             raise ConfigError("l must be > 1")
         self.l = float(l)
-        self.values = space.dataset.column(sensitive)
+        self.space = space
+        self.sensitive = sensitive
+        space.dataset.attr_index(sensitive)   # unknown names fail here
         self.threshold = math.log(self.l)
 
     def entropy(self, block) -> float:
-        counts = Counter(self.values[r] for r in block.rows)
+        """Summed over the values in sorted order, whatever the row order."""
         n = block.count
-        return -sum((c / n) * math.log(c / n) for c in counts.values())
+        return -sum((c / n) * math.log(c / n)
+                    for c in self.space.histogram(block, self.sensitive) if c)
 
     def block_ok(self, block) -> bool:
         if block.count == 0:
@@ -132,24 +137,26 @@ class TCloseness:
         if not 0 <= t <= 1:
             raise ConfigError("t must be in [0, 1]")
         self.t = float(t)
-        values = space.dataset.column(sensitive)
+        self.space = space
+        self.sensitive = sensitive
+        values = space.label_counts(sensitive)[0]
         attr = space.dataset.schema[space.dataset.attr_index(sensitive)]
         if attr.is_numeric:
-            self.order = sorted(set(values))
+            self.order = values
         else:
-            pos = attr.taxonomy.leaf_position
-            self.order = sorted(set(values), key=pos)
-        self.index = {v: i for i, v in enumerate(self.order)}
-        self.values = values
-        n = len(values)
-        counts = Counter(values)
-        self.global_dist = [counts.get(v, 0) / n for v in self.order]
+            self.order = sorted(values, key=attr.taxonomy.leaf_position)
+        # histogram index of each value, in distance order
+        index = {v: i for i, v in enumerate(values)}
+        self._at = [index[v] for v in self.order]
+        self.global_dist = self._dist(space.root_block)
+
+    def _dist(self, block) -> list:
+        hist = self.space.histogram(block, self.sensitive)
+        n = block.count
+        return [hist[i] / n for i in self._at]
 
     def distance(self, block) -> float:
-        counts = Counter(self.values[r] for r in block.rows)
-        n = block.count
-        p = [counts.get(v, 0) / n for v in self.order]
-        return ordered_distance(p, self.global_dist)
+        return ordered_distance(self._dist(block), self.global_dist)
 
     def block_ok(self, block) -> bool:
         if block.count == 0:
@@ -180,7 +187,9 @@ class EpsPrivacy:
         self.sigma = float(sigma)
         self.b = float(b)
         self.delta = float(delta)
-        self.values = space.dataset.column(sensitive)
+        self.space = space
+        self.sensitive = sensitive
+        space.dataset.attr_index(sensitive)   # unknown names fail here
         sb = self.sigma + self.b
         self.r1_floor = sb / (self.eps - 1)  # 0 when eps is infinite
         if math.isinf(self.eps) and sb == 1:
@@ -200,8 +209,7 @@ class EpsPrivacy:
         n = block.count
         if n - self.b < self.r1_floor - 1e-12:
             return False
-        counts = Counter(self.values[r] for r in block.rows)
-        top = max(counts.values())
+        top = max(self.space.histogram(block, self.sensitive))
         return top / (n + self.b) <= self.r2_bound + 1e-12
 
     def describe(self, block) -> str:

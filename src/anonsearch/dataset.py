@@ -235,7 +235,11 @@ class Dataset:
 
 
 def load_dataset(path, schema) -> Dataset:
-    """Read a CSV whose header matches the schema names exactly."""
+    """Read a CSV whose header matches the schema names exactly.
+
+    Each distinct field text is parsed and checked once per column; a
+    text that fails is never remembered, so every error names the first
+    line where it occurs."""
     names = [a.name for a in schema]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -247,6 +251,7 @@ def load_dataset(path, schema) -> Dataset:
             raise DataError(f"{path}: header {header!r} does not match "
                             f"schema attributes {names!r}")
         rows = []
+        parsed = [{} for _ in schema]   # per column: raw text -> value
         for lineno, raw in enumerate(reader, start=2):
             if not raw:
                 continue
@@ -254,8 +259,12 @@ def load_dataset(path, schema) -> Dataset:
                 raise DataError(f"{path}:{lineno}: expected {len(schema)} "
                                 f"fields, got {len(raw)}")
             row = []
-            for col, (attr, text) in enumerate(zip(schema, raw), start=1):
-                text = text.strip()
+            for col, (attr, raw_text) in enumerate(zip(schema, raw), start=1):
+                v = parsed[col - 1].get(raw_text)
+                if v is not None:
+                    row.append(v)
+                    continue
+                text = raw_text.strip()
                 if text == "":
                     raise DataError(f"{path}:{lineno}: column {col} "
                                     f"({attr.name}): missing value")
@@ -278,6 +287,7 @@ def load_dataset(path, schema) -> Dataset:
                             f"{path}:{lineno}: column {col} ({attr.name}): "
                             f"unknown value {text!r}")
                     v = text
+                parsed[col - 1][raw_text] = v
                 row.append(v)
             rows.append(tuple(row))
     if not rows:
@@ -286,7 +296,9 @@ def load_dataset(path, schema) -> Dataset:
 
 
 def sample_dataset(dataset: Dataset, n: int, seed: int = 0) -> Dataset:
-    """Seeded uniform subsample without replacement."""
+    """Seeded uniform subsample of n >= 1 rows without replacement."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
     if n >= len(dataset.rows):
         return dataset
     rng = random.Random(seed)

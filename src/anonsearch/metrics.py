@@ -7,15 +7,15 @@ changes the total by the difference of their terms.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import ConfigError
 
 
 class Metric:
-    """Base: cost(blocks) = sum of block_cost. `floor_cost` is the
-    per-cell term used when bounding from below on finest cells."""
+    """Base: cost(blocks) = sum of block_cost. `floor_cost` is the term of
+    one finest cell, given as a block, when bounding from below on finest
+    cells; by default the cell's own cost."""
 
     name = "?"
 
@@ -25,8 +25,8 @@ class Metric:
     def cost(self, blocks) -> float:
         return sum(self.block_cost(b) for b in blocks)
 
-    def floor_cost(self, count, volume, labels):
-        raise NotImplementedError
+    def floor_cost(self, cell):
+        return self.block_cost(cell)
 
 
 @dataclass(frozen=True)
@@ -41,28 +41,26 @@ class Discernibility(Metric):
         n = block.count
         return n * n
 
-    def floor_cost(self, count, volume, labels):
-        return count * count if count >= self.k else self.k * count
+    def floor_cost(self, cell):
+        n = cell.count
+        return n * n if n >= self.k else self.k * n
 
 
 class ClassificationError(Metric):
-    """Per block: tuples not in the block's majority class."""
+    """Per block: tuples not in the block's majority class. The class
+    histogram is the sum of the block's cell histograms
+    (`Space.histogram`)."""
 
     name = "cm"
 
-    def __init__(self, labels):
-        self.labels = list(labels)
+    def __init__(self, space, class_attr: str):
+        self.space = space
+        self.class_attr = class_attr
 
     def block_cost(self, block):
-        if not block.rows:
+        if not block.count:
             return 0
-        counts = Counter(self.labels[r] for r in block.rows)
-        return block.count - max(counts.values())
-
-    def floor_cost(self, count, volume, labels):
-        if not labels:
-            return 0
-        return count - max(Counter(labels).values())
+        return block.count - max(self.space.histogram(block, self.class_attr))
 
 
 class VolumeMetric(Metric):
@@ -89,13 +87,8 @@ class VolumeMetric(Metric):
 
     def _min_cell_volume(self):
         unit = 1.0
-        for qi_pos, attr_idx in enumerate(self.space.qi):
-            attr = self.space.dataset.schema[attr_idx]
-            lo, hi = self.space.root_block.extent[qi_pos]
-            planes = self.space.splits.planes(attr_idx)
-            edges = [lo] + planes + [hi]
-            gaps = [b - a for a, b in zip(edges, edges[1:])]
-            unit *= min(gaps) / self._lengths[qi_pos]
+        for edges, length in zip(self.space.edges, self._lengths):
+            unit *= min(b - a for a, b in zip(edges, edges[1:])) / length
         return unit
 
     def volume(self, extent) -> float:
@@ -106,9 +99,6 @@ class VolumeMetric(Metric):
 
     def block_cost(self, block):
         return block.count * self.volume(block.extent) / self.unit_volume
-
-    def floor_cost(self, count, volume, labels):
-        return count * volume / self.unit_volume
 
 
 def make_metric(name, space, k=1, class_attr=None, unit_volume=None) -> Metric:
@@ -123,7 +113,8 @@ def make_metric(name, space, k=1, class_attr=None, unit_volume=None) -> Metric:
         if class_attr is None:
             raise ConfigError("cm needs a class attribute "
                               "(a sensitive attribute or class_attr=)")
-        return ClassificationError(space.dataset.column(class_attr))
+        space.dataset.attr_index(class_attr)   # unknown names fail here
+        return ClassificationError(space, class_attr)
     if name == "vm":
         return VolumeMetric(space, unit_volume)
     raise ConfigError(f"unknown metric {name!r}")
@@ -202,10 +193,10 @@ def true_count(space, query: dict) -> int:
     the domain minimum, mirroring how splits assign boundary values."""
     n = 0
     qi_attrs = space.qi
-    for row_idx in range(len(space.dataset)):
+    for row in space.dataset.rows:
         ok = True
         for qi_pos, (qa, qb) in query.items():
-            v = space.columns[qi_attrs[qi_pos]][row_idx]
+            v = row[qi_attrs[qi_pos]]
             attr = space.dataset.schema[qi_attrs[qi_pos]]
             if attr.is_numeric:
                 dom_lo = attr.domain[0]
@@ -214,7 +205,7 @@ def true_count(space, query: dict) -> int:
                     ok = False
                     break
             else:
-                if not qa <= v < qb:
+                if not qa <= attr.taxonomy.leaf_position(v) < qb:
                     ok = False
                     break
         if ok:

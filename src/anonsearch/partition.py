@@ -20,27 +20,30 @@ side with the lower split ids, which is the geometric right part.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .splits import Move, Split, SplitSet
 
 
 class Block:
-    """A subspace with the rows it contains.
+    """A subspace with the finest cells it contains.
 
-    Within one Space the extent determines the rows, so equality and
-    hashing use the extent alone.
+    `cells` are the numbers of the non-empty finest cells of the Space
+    inside the extent, ascending, and `count` is their total row count.
+    Every extent lies on split planes, so each cell lies wholly inside or
+    wholly outside a block, and the block's rows are exactly the rows of
+    its cells. Within one Space the extent determines the cells, so
+    equality and hashing use the extent alone.
     """
 
-    __slots__ = ("extent", "rows")
+    __slots__ = ("extent", "cells", "count")
 
-    def __init__(self, extent, rows):
+    def __init__(self, extent, cells, count):
         self.extent = extent
-        self.rows = rows
-
-    @property
-    def count(self) -> int:
-        return len(self.rows)
+        self.cells = cells
+        self.count = count
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.extent == other.extent
@@ -49,7 +52,7 @@ class Block:
         return hash(self.extent)
 
     def __repr__(self):
-        return f"Block({self.extent}, n={len(self.rows)})"
+        return f"Block({self.extent}, n={self.count})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,36 +76,97 @@ def _descends_left(at: Split, plane) -> bool:
 
 
 class Space:
-    """A dataset bound to its split set. Owns block construction."""
+    """A dataset bound to its split set. Owns block construction.
+
+    Each row is binned once into its finest cell: per QI attribute, the
+    slot between consecutive split planes holding its value, a value on
+    a plane placed as a split places it. Non-empty cells are numbered in
+    the order of their first row; `cell_of` maps rows to cells and
+    `cell_counts` cells to row counts.
+    """
 
     def __init__(self, dataset, splits: SplitSet):
         self.dataset = dataset
         self.splits = splits
         self.qi = splits.qi
         self.qi_schema = [dataset.schema[i] for i in self.qi]
-        self.columns = {}
-        for i in self.qi:
-            attr = dataset.schema[i]
-            if attr.is_numeric:
-                self.columns[i] = [r[i] for r in dataset.rows]
-            else:
-                pos = attr.taxonomy.leaf_position
-                self.columns[i] = [pos(r[i]) for r in dataset.rows]
         extent = []
         for attr in self.qi_schema:
             if attr.is_numeric:
                 extent.append(attr.domain)
             else:
                 extent.append((0, attr.taxonomy.n_leaves))
-        self.root_block = Block(tuple(extent), tuple(range(len(dataset.rows))))
+        planes = [splits.planes(a) for a in self.qi]
+        # slot i of QI attribute q spans edges[q][i]..edges[q][i + 1]
+        self.edges = [[lo, *cuts, hi] for cuts, (lo, hi)
+                      in zip(planes, extent)]
+        self._slot_of_plane = {s.id: planes[s.qi_pos].index(s.plane)
+                               for s in splits.splits}
+        slots = []
+        for a, attr, cuts in zip(self.qi, self.qi_schema, planes):
+            col = [r[a] for r in dataset.rows]
+            if attr.is_numeric:
+                memo = {v: bisect_left(cuts, v) for v in set(col)}
+            else:
+                pos = attr.taxonomy.leaf_position
+                memo = {v: bisect_right(cuts, pos(v)) for v in set(col)}
+            slots.append(map(memo.__getitem__, col))
+        keys = zip(*slots) if slots else [()] * len(dataset.rows)
+        index: dict = {}    # slot tuple -> cell number
+        self.cell_of = [index.setdefault(key, len(index)) for key in keys]
+        # per QI attribute, the slot of each cell
+        self._slots = list(zip(*index)) or [() for _ in self.qi]
+        self.cell_counts = [0] * len(index)
+        for cell in self.cell_of:
+            self.cell_counts[cell] += 1
+        self.root_block = Block(tuple(extent), tuple(range(len(index))),
+                                len(self.cell_of))
         self._split_cache: dict = {}
         self._moves_cache: dict = {}
+        self._label_tables: dict = {}
 
     def root_tree(self) -> "PartitionTree":
         return PartitionTree(self, Leaf(self.root_block), 0)
 
+    def cell_block(self, cell) -> Block:
+        """One finest cell as a block."""
+        extent = tuple((e[s[cell]], e[s[cell] + 1])
+                       for e, s in zip(self.edges, self._slots))
+        return Block(extent, (cell,), self.cell_counts[cell])
+
+    def label_counts(self, name):
+        """Per-cell histograms of column `name`: `(values, table)` with the
+        column's distinct values sorted and `table[c]` the `(value index,
+        count)` pairs of cell c in index order. Built once per column."""
+        hit = self._label_tables.get(name)
+        if hit is None:
+            col = self.dataset.column(name)
+            values = sorted(set(col))
+            index = {v: i for i, v in enumerate(values)}
+            pairs = Counter(zip(self.cell_of, map(index.__getitem__, col)))
+            table = [[] for _ in self.cell_counts]
+            for (cell, i), n in sorted(pairs.items()):
+                table[cell].append((i, n))
+            hit = (values, table)
+            self._label_tables[name] = hit
+        return hit
+
+    def histogram(self, block, name) -> list:
+        """Row count of each value of column `name` inside `block`, indexed
+        like `label_counts(name)`: the sum of its cells' histograms."""
+        values, table = self.label_counts(name)
+        hist = [0] * len(values)
+        for cell in block.cells:
+            for i, n in table[cell]:
+                hist[i] += n
+        return hist
+
     def apply_split(self, block: Block, s: Split):
-        """Split a block into its (tree-left, tree-right) children."""
+        """Split a block into its (tree-left, tree-right) children.
+
+        A cell lies above the split's plane when its slot along the split
+        attribute is past the plane's; that side is tree-right for a
+        numeric split and tree-left for a categorical one."""
         key = (block.extent, s.id)
         hit = self._split_cache.get(key)
         if hit is not None:
@@ -110,25 +174,19 @@ class Space:
         lo, hi = block.extent[s.qi_pos]
         if not lo < s.plane < hi:
             raise ValueError(f"{s} does not cut extent {block.extent}")
-        col = self.columns[s.attr]
-        left_rows, right_rows = [], []
-        if s.numeric:
-            for r in block.rows:
-                (left_rows if col[r] <= s.plane else right_rows).append(r)
-            left_ext = (lo, s.plane)
-            right_ext = (s.plane, hi)
-        else:
-            plane = int(s.plane)
-            for r in block.rows:
-                (left_rows if col[r] >= plane else right_rows).append(r)
-            left_ext = (plane, hi)
-            right_ext = (lo, plane)
+        slot = self._slots[s.qi_pos]
+        at = self._slot_of_plane[s.id]
+        below, above = [], []
+        for c in block.cells:
+            (above if slot[c] > at else below).append(c)
+        n_below = sum(map(self.cell_counts.__getitem__, below))
+        plane = s.plane if s.numeric else int(s.plane)
         base = list(block.extent)
-        base[s.qi_pos] = left_ext
-        left = Block(tuple(base), tuple(left_rows))
-        base[s.qi_pos] = right_ext
-        right = Block(tuple(base), tuple(right_rows))
-        out = (left, right)
+        base[s.qi_pos] = (lo, plane)
+        lower = Block(tuple(base), tuple(below), n_below)
+        base[s.qi_pos] = (plane, hi)
+        upper = Block(tuple(base), tuple(above), block.count - n_below)
+        out = (lower, upper) if s.numeric else (upper, lower)
         self._split_cache[key] = out
         return out
 

@@ -32,10 +32,11 @@ same float as `lower_bound` of the child's tree. The child's frozen
 leaves are the parent's leaves before leaf i, so its `frozen` is
 `pre[i]`, bit-identical to a sum over its tree. Only a tree evaluated
 from scratch (the root, a seed) has its `frozen` summed from a walk of
-all its leaves; the root's is 0.0. A child's tree is built only when it
-is queued or becomes the incumbent; most children are pruned at once,
-and a queued node holds no more than its tree, cost, bound, frozen
-prefix and flag counts.
+all its leaves; the root's is 0.0. A child's tree is built at once only
+when it becomes the incumbent. Most children are pruned at once; a
+queued child holds its parent's tree, path and move, and its own tree
+is grown only when it is expanded, since many queued nodes are pruned
+or dropped unexpanded.
 
 The same block meets the same move in many nodes, so a child's terms
 are memoized per (block extent, move id) the first time a legal move
@@ -130,12 +131,13 @@ class SearchResult:
 
 @dataclass(slots=True)
 class _Node:
-    tree: PartitionTree
+    tree: PartitionTree | None   # None until the node is expanded
     cost: float
     lb: float
     fail_any: int     # blocks violating any constraint
     fail_mono: int    # blocks violating a monotone constraint
     frozen: float     # exact cost of the leaves before the frontier
+    grow: tuple | None = None    # (parent tree, path, move) if no tree
 
 
 class _Searcher:
@@ -207,6 +209,9 @@ class _Searcher:
         summed as the module docstring describes. `frozen` is the child's
         frozen prefix, `pre[i]`.
         """
+        if node.tree is None:   # a queued child: grow its tree now
+            parent, path, move = node.grow
+            node.tree = parent.apply_move(path, move)
         leaves, pre, mins = frontier(node.tree, self.bctx, self.cost_of,
                                      node.frozen)
         index = {path: i for i, (path, _) in enumerate(leaves)}
@@ -402,9 +407,8 @@ class _Searcher:
                     continue
                 tree = self._offer(node.tree, path, move, cost, fa)
                 if cfg.alpha * lb < self.best:
-                    if tree is None:
-                        tree = node.tree.apply_move(path, move)
-                    self._push(_Node(tree, cost, lb, fa, fm, frozen))
+                    grow = (node.tree, path, move) if tree is None else None
+                    self._push(_Node(tree, cost, lb, fa, fm, frozen, grow))
                 else:
                     self.stats.pruned_bound += 1
                     self.frontier_min = min(self.frontier_min, lb)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -51,7 +52,9 @@ def tax_space():
 # ---- random instances ----
 
 def random_instance(rng: random.Random, total_splits=None, rows_range=(4, 12),
-                    cat=True) -> Space:
+                    cat=True, snap=0.0) -> Space:
+    """A small random instance. With probability `snap` a numeric value is
+    put on a cut plane or a domain end instead of drawn uniformly."""
     total = total_splits if total_splits is not None else rng.randint(2, 5)
     n_attrs = rng.randint(2, 3)
     attrs = []
@@ -96,7 +99,11 @@ def random_instance(rng: random.Random, total_splits=None, rows_range=(4, 12),
             if a["role"] == "sensitive":
                 row.append(rng.choice("uvw"))
             elif a["kind"] == "numeric":
-                row.append(rng.uniform(*a["domain"]))
+                if snap and rng.random() < snap:
+                    row.append(float(rng.choice(
+                        [*a["domain"], *a["splits"]["values"]])))
+                else:
+                    row.append(rng.uniform(*a["domain"]))
             else:
                 row.append(rng.choice(leaves_of[a["name"]]))
         rows.append(tuple(row))
@@ -134,6 +141,72 @@ def random_loose_tree(space: Space, rng: random.Random, max_moves=6):
 
 
 # ---- independent oracles ----
+
+def block_rows(space: Space, block) -> list:
+    """The rows of a block, derived from its cells."""
+    cells = set(block.cells)
+    return [r for r, c in enumerate(space.cell_of) if c in cells]
+
+
+class RowBlock:
+    """The row-based block the cell-based one replaced: an extent and the
+    tuple of the row numbers inside it."""
+
+    __slots__ = ("extent", "rows")
+
+    def __init__(self, extent, rows):
+        self.extent = extent
+        self.rows = rows
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
+
+
+def row_columns(space: Space) -> dict:
+    """Per QI attribute, each row's value (a leaf position if categorical)."""
+    columns = {}
+    for i in space.qi:
+        attr = space.dataset.schema[i]
+        if attr.is_numeric:
+            columns[i] = [r[i] for r in space.dataset.rows]
+        else:
+            pos = attr.taxonomy.leaf_position
+            columns[i] = [pos(r[i]) for r in space.dataset.rows]
+    return columns
+
+
+def row_root(space: Space) -> RowBlock:
+    return RowBlock(space.root_block.extent,
+                    tuple(range(len(space.dataset.rows))))
+
+
+def reference_apply_split(columns, block: RowBlock, s):
+    """Split a row block into its (tree-left, tree-right) children by
+    scanning its rows: the row-based `Space.apply_split`."""
+    lo, hi = block.extent[s.qi_pos]
+    if not lo < s.plane < hi:
+        raise ValueError(f"{s} does not cut extent {block.extent}")
+    col = columns[s.attr]
+    left_rows, right_rows = [], []
+    if s.numeric:
+        for r in block.rows:
+            (left_rows if col[r] <= s.plane else right_rows).append(r)
+        left_ext = (lo, s.plane)
+        right_ext = (s.plane, hi)
+    else:
+        plane = int(s.plane)
+        for r in block.rows:
+            (left_rows if col[r] >= plane else right_rows).append(r)
+        left_ext = (plane, hi)
+        right_ext = (lo, plane)
+    base = list(block.extent)
+    base[s.qi_pos] = left_ext
+    left = RowBlock(tuple(base), tuple(left_rows))
+    base[s.qi_pos] = right_ext
+    right = RowBlock(tuple(base), tuple(right_rows))
+    return left, right
+
 
 def geometric_is_cut(node, s, pending=None) -> bool:
     """Plane-geometry definition of a full cut: the plane passes strictly
@@ -222,8 +295,8 @@ def rebuild_canonical(space: Space, blocks):
         ext = tuple((min(b.extent[q][0] for b in bs),
                      max(b.extent[q][1] for b in bs))
                     for q in range(len(bs[0].extent)))
-        rows = tuple(sorted(r for b in bs for r in b.rows))
-        return Block(ext, rows)
+        cells = tuple(sorted(c for b in bs for c in b.cells))
+        return Block(ext, cells, sum(b.count for b in bs))
 
     def respected(bs, qi_pos, plane):
         return all(not (b.extent[qi_pos][0] < plane < b.extent[qi_pos][1])
@@ -320,8 +393,8 @@ def oracle_min_cost(space: Space, block, metric, k=1) -> float:
         if metric.name == "dm":
             total += m * m if m >= k else k * m
         elif metric.name == "cm":
-            from collections import Counter
-            counts = Counter(metric.labels[r] for r in cell.rows)
+            labels = space.dataset.column(metric.class_attr)
+            counts = Counter(labels[r] for r in block_rows(space, cell))
             total += m - max(counts.values())
         else:
             total += m * metric.volume(cell.extent) / metric.unit_volume

@@ -1,0 +1,155 @@
+"""Cell-based blocks against the row scans they replaced.
+
+Every tree node's block is replayed on row blocks with the row-based
+split (`conftest.reference_apply_split`); counts, class histograms,
+metric costs, finest-cell bounds and constraint checks must equal those
+computed by scanning the rows, and a shuffled copy of the rows must give
+the same costs and flags.
+"""
+
+import math
+import random
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anonsearch.bounds import BoundContext
+from anonsearch.constraints import (EntropyLDiversity, EpsPrivacy, KAnonymity,
+                                    TCloseness, build_constraints,
+                                    ordered_distance)
+from anonsearch.dataset import Dataset
+from anonsearch.metrics import make_metric
+from anonsearch.partition import Internal, Space
+
+from conftest import (random_instance, random_tree, reference_apply_split,
+                      row_columns, row_root)
+
+
+def row_cost(name, metric, block, labels):
+    n = block.count
+    if name == "dm":
+        return n * n
+    if name == "cm":
+        if not n:
+            return 0
+        return n - max(Counter(labels[r] for r in block.rows).values())
+    return n * metric.volume(block.extent) / metric.unit_volume
+
+
+def row_cells(space, columns, block):
+    """The non-empty finest cells of a row block, by splitting at any
+    plane inside the extent until none is left, in the order of their
+    first rows. (Moves alone would stop at the intermediate blocks of a
+    categorical chain, whose ranges are no taxonomy node's.)"""
+    out, stack = [], [block]
+    while stack:
+        b = stack.pop()
+        inside = [s for s in space.splits.splits
+                  if b.extent[s.qi_pos][0] < s.plane < b.extent[s.qi_pos][1]]
+        if inside:
+            stack.extend(reference_apply_split(columns, b, inside[0]))
+        elif b.rows:
+            out.append(b)
+    return sorted(out, key=lambda c: min(c.rows))
+
+
+def row_min_cost(name, metric, cells, labels, k):
+    total = 0.0
+    for cell in cells:
+        m = cell.count
+        if name == "dm":
+            total += m * m if m >= k else k * m
+        else:
+            total += row_cost(name, metric, cell, labels)
+    return total
+
+
+def row_ok(c, block, labels, order):
+    """The row-scan check of constraint `c` on a row block."""
+    n = block.count
+    if isinstance(c, KAnonymity):
+        return n == 0 or n >= c.k
+    if n == 0:
+        return True
+    counts = Counter(labels[r] for r in block.rows)
+    if isinstance(c, EntropyLDiversity):
+        entropy = -sum((m / n) * math.log(m / n) for m in counts.values())
+        return entropy >= c.threshold - 1e-12
+    if isinstance(c, TCloseness):
+        p = [counts.get(v, 0) / n for v in order]
+        total = Counter(labels)
+        q = [total[v] / len(labels) for v in order]
+        return ordered_distance(p, q) <= c.t + 1e-12
+    assert isinstance(c, EpsPrivacy)
+    if n - c.b < c.r1_floor - 1e-12:
+        return False
+    return max(counts.values()) / (n + c.b) <= c.r2_bound + 1e-12
+
+
+def problem(space, k, l_div, t):
+    metrics = {name: make_metric(name, space, k=k)
+               for name in ("dm", "cm", "vm")}
+    cons = build_constraints(space, k=k, l_div=l_div, t_close=t,
+                             eps={"eps": 4, "sigma": 1, "b": 1})
+    return metrics, cons
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_cell_blocks_match_row_scans(seed):
+    rng = random.Random(seed)
+    while True:   # draw until a taxonomy expansion is a chain of cuts
+        space = random_instance(rng, total_splits=rng.randint(3, 6),
+                                rows_range=(6, 24), snap=0.4)
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            break
+    rows = list(space.dataset.rows)
+    rng.shuffle(rows)
+    shuffled = Space(Dataset(space.dataset.schema, rows), space.splits)
+    columns = row_columns(space)
+    labels = space.dataset.column("s")
+    leaf = space.dataset.schema[space.dataset.attr_index("s")].taxonomy
+    order = sorted(set(labels), key=leaf.leaf_position)
+    k = rng.randint(1, 3)
+    l_div, t = rng.choice([1.5, 2.0, 2.5]), rng.choice([0.1, 0.3, 0.6])
+    metrics, cons = problem(space, k, l_div, t)
+    smetrics, scons = problem(shuffled, k, l_div, t)
+    ctxs = {name: BoundContext(space, m) for name, m in metrics.items()}
+    sctxs = {name: BoundContext(shuffled, m) for name, m in smetrics.items()}
+
+    def replay(node, ref, sblock):
+        yield node.block, ref, sblock
+        if isinstance(node, Internal):
+            rl, rr = reference_apply_split(columns, ref, node.split)
+            sl, sr = shuffled.apply_split(sblock, node.split)
+            yield from replay(node.left, rl, sl)
+            yield from replay(node.right, rr, sr)
+
+    for _ in range(4):
+        tree = random_tree(space, rng)
+        for block, ref, sblock in replay(tree.root, row_root(space),
+                                         shuffled.root_block):
+            assert block.extent == ref.extent == sblock.extent
+            assert block.count == ref.count == sblock.count
+            assert list(block.cells) == sorted(block.cells)
+            values = space.label_counts("s")[0]
+            hist = dict(zip(values, space.histogram(block, "s")))
+            want = Counter(labels[r] for r in ref.rows)
+            assert {v: n for v, n in hist.items() if n} == want
+            cells = row_cells(space, columns, ref)
+            for name, metric in metrics.items():
+                cost = metric.block_cost(block)
+                assert cost == row_cost(name, metric, ref, labels)
+                assert smetrics[name].block_cost(sblock) == cost
+                bound = ctxs[name].min_cost(block)
+                assert bound == row_min_cost(name, metric, cells, labels, k)
+                if name != "vm":   # vm may differ in the last ulp
+                    assert sctxs[name].min_cost(sblock) == bound
+            oks = [row_ok(c, ref, labels, order) for c in cons]
+            for c, ok in zip(cons, oks):
+                assert c.block_ok(block) == ok, c.name
+            flags = (not all(oks),
+                     any(not ok and c.monotone for c, ok in zip(cons, oks)))
+            assert cons.block_flags(block) == flags
+            assert scons.block_flags(sblock) == flags

@@ -381,3 +381,13 @@ def test_compare_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("status=")
                for line in proc.stdout.splitlines())
+
+
+def test_same_outputs_script_smoke():
+    script = ROOT / "scripts" / "same_outputs.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(ROOT), "--workload", "taxo3k-exact"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == (
+        "taxo3k-exact: same (partition.json, progress.csv, result.json)")

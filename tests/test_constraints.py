@@ -16,15 +16,23 @@ from conftest import build_space
 _next_ext = iter(range(10 ** 6))
 
 
-def mk(rows):
-    # unique extent per call so cached flags never collide
-    return Block(((next(_next_ext), 10 ** 6),), tuple(rows))
+def mk(space, rows):
+    # unique extent per call so cached flags never collide; every row of
+    # the spaces used here sits alone in its finest cell, so any set of
+    # rows is a set of cells
+    cells = {space.cell_of[r] for r in rows}
+    assert len(cells) == len(rows)
+    return Block(((next(_next_ext), 10 ** 6),), tuple(sorted(cells)),
+                 len(rows))
 
 
 def label_space(labels):
+    # a cut between every two rows: one row per finest cell
     cfg = {"attributes": [
         {"name": "x", "kind": "numeric", "role": "qi",
-         "domain": [0, len(labels) + 1], "splits": {"type": "none"}},
+         "domain": [0, len(labels) + 1],
+         "splits": {"type": "explicit",
+                    "values": list(range(1, len(labels) + 1))}},
         {"name": "s", "kind": "categorical", "role": "sensitive",
          "values": sorted(set(labels) | {"zz"})},
     ]}
@@ -34,20 +42,21 @@ def label_space(labels):
 # ---- size and length ----
 
 def test_k_anonymity():
+    space = label_space(["a", "b", "c"])
     c = KAnonymity(2)
-    assert not c.block_ok(mk([1]))
-    assert c.block_ok(mk([1, 2]))
-    assert c.block_ok(mk([]))  # empty blocks carry no one to expose
+    assert not c.block_ok(mk(space, [1]))
+    assert c.block_ok(mk(space, [1, 2]))
+    assert c.block_ok(mk(space, []))  # empty blocks carry no one to expose
     with pytest.raises(ConfigError):
         KAnonymity(0)
 
 
 def test_min_length(grid_space):
     c = MinLength(grid_space, {"x": 2})
-    assert c.block_ok(Block(((0.0, 2.0), (0.0, 3.0)), ()))
-    assert not c.block_ok(Block(((0.0, 1.0), (0.0, 3.0)), ()))
+    assert c.block_ok(Block(((0.0, 2.0), (0.0, 3.0)), (), 0))
+    assert not c.block_ok(Block(((0.0, 1.0), (0.0, 3.0)), (), 0))
     # applies to empty blocks: the region itself is published
-    assert not c.block_ok(Block(((2.0, 3.0), (0.0, 3.0)), ()))
+    assert not c.block_ok(Block(((2.0, 3.0), (0.0, 3.0)), (), 0))
 
 
 @pytest.mark.parametrize("lengths,frag", [
@@ -69,10 +78,10 @@ def test_min_length_rejects_categorical(tax_space):
 def test_entropy_diversity_threshold():
     space = label_space(["a", "a", "b", "b", "a", "b"])
     c = EntropyLDiversity(space, 2, "s")
-    assert c.block_ok(mk([0, 2]))       # a, b: entropy exactly ln 2
-    assert c.block_ok(mk([0, 1, 2, 3]))
-    assert not c.block_ok(mk([0, 1, 2]))  # 2:1 mix falls short
-    assert c.block_ok(mk([]))
+    assert c.block_ok(mk(space, [0, 2]))       # a, b: entropy exactly ln 2
+    assert c.block_ok(mk(space, [0, 1, 2, 3]))
+    assert not c.block_ok(mk(space, [0, 1, 2]))  # 2:1 mix falls short
+    assert c.block_ok(mk(space, []))
     with pytest.raises(ConfigError):
         EntropyLDiversity(space, 1, "s")
 
@@ -88,7 +97,8 @@ def test_min_block_size_is_the_largest_size_floor():
     assert build_constraints(space, t_close=0.5).min_block_size() == 1
     # the floor is tight: a block of that many distinct values passes
     c = EntropyLDiversity(space, 2.5, "s")
-    assert c.block_ok(mk([0, 1, 2])) and not c.block_ok(mk([0, 1]))
+    assert c.block_ok(mk(space, [0, 1, 2]))
+    assert not c.block_ok(mk(space, [0, 1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,9 +109,9 @@ def test_entropy_of_union_at_least_min(xs, ys):
     # is what makes the diversity constraint monotone under splitting
     space = label_space(xs + ys)
     c = EntropyLDiversity(space, 2, "s")
-    a = mk(range(len(xs)))
-    b = mk(range(len(xs), len(xs) + len(ys)))
-    u = mk(range(len(xs) + len(ys)))
+    a = mk(space, range(len(xs)))
+    b = mk(space, range(len(xs), len(xs) + len(ys)))
+    u = mk(space, range(len(xs) + len(ys)))
     assert c.entropy(u) >= min(c.entropy(a), c.entropy(b)) - 1e-12
 
 
@@ -133,8 +143,8 @@ def test_ordered_distance_is_normalized_emd(pq):
 def test_t_closeness_hand_case(tax_space):
     c = TCloseness(tax_space, 0.4, "s")
     assert c.global_dist == pytest.approx([0.4, 0.4, 0.2])
-    aa = mk([0, 3])  # two rows with value a
-    bb = mk([1, 4])
+    aa = mk(tax_space, [0, 3])  # two rows with value a
+    bb = mk(tax_space, [1, 4])
     assert c.distance(aa) == pytest.approx(0.4)
     assert c.distance(bb) == pytest.approx(0.3)
     assert c.block_ok(aa) and c.block_ok(bb)
@@ -147,8 +157,8 @@ def test_t_closeness_not_monotone_in_practice(tax_space):
     # a fine block can be farther from the global distribution than its
     # parent, and a merge can fix it: no pruning from this constraint
     c = TCloseness(tax_space, 0.1, "s")
-    parent = mk([0, 1, 2, 3, 4])
-    child = mk([0, 3])
+    parent = mk(tax_space, [0, 1, 2, 3, 4])
+    child = mk(tax_space, [0, 3])
     assert c.block_ok(parent) and not c.block_ok(child)
     assert c.monotone is False
 
@@ -160,10 +170,10 @@ def test_eps_privacy_hand_case():
     c = EpsPrivacy(space, eps=3, sigma=1, b=1, sensitive="s")
     assert c.r1_floor == pytest.approx(1.0)
     assert c.r2_bound == pytest.approx(1 / 3)
-    assert c.block_ok(mk([0, 1, 2]))       # 1/4 each <= 1/3
-    assert not c.block_ok(mk([0, 3, 1]))   # two a's: 2/4 > 1/3
-    assert not c.block_ok(mk([0]))         # 1 - b < floor
-    assert c.block_ok(mk([]))
+    assert c.block_ok(mk(space, [0, 1, 2]))       # 1/4 each <= 1/3
+    assert not c.block_ok(mk(space, [0, 3, 1]))   # two a's: 2/4 > 1/3
+    assert not c.block_ok(mk(space, [0]))         # 1 - b < floor
+    assert c.block_ok(mk(space, []))
 
 
 def test_eps_privacy_infinite_eps():
@@ -171,10 +181,10 @@ def test_eps_privacy_infinite_eps():
     c = EpsPrivacy(space, eps=math.inf, sigma=2, b=0, sensitive="s")
     assert c.r1_floor == 0.0
     assert c.r2_bound == pytest.approx(1.0)
-    assert c.block_ok(mk([0, 1]))  # single value allowed at eps = inf
+    assert c.block_ok(mk(space, [0, 1]))  # single value allowed at eps = inf
     lone = EpsPrivacy(space, eps=math.inf, sigma=1, b=0, sensitive="s")
     assert lone.r2_bound == -math.inf  # one insider pins the value exactly
-    assert not lone.block_ok(mk([0, 1]))
+    assert not lone.block_ok(mk(space, [0, 1]))
 
 
 @pytest.mark.parametrize("kw,frag", [
@@ -219,22 +229,23 @@ def test_assume_monotone_flag(tax_space):
 
 def test_block_flags_distinguish_monotone(tax_space):
     cons = build_constraints(tax_space, k=2, t_close=0.05)
-    tiny = mk([0])        # fails k (monotone)
-    skewed = mk([0, 3])   # two a's: fails closeness only
+    tiny = mk(tax_space, [0])        # fails k (monotone)
+    skewed = mk(tax_space, [0, 3])   # two a's: fails closeness only
     assert cons.block_flags(tiny) == (True, True)
     assert cons.block_flags(skewed) == (True, False)
-    assert cons.block_flags(mk([0, 1, 2, 3, 4])) == (False, False)
+    assert cons.block_flags(mk(tax_space, [0, 1, 2, 3, 4])) == (False, False)
 
 
 def test_first_violation_reports_in_constraint_order(tax_space):
     cons = build_constraints(tax_space, k=2, t_close=0.05)
-    skewed = mk([0, 3])
-    tiny = mk([4])
+    skewed = mk(tax_space, [0, 3])
+    tiny = mk(tax_space, [4])
     # the closeness failure on the first block loses to the k failure on
     # the second: constraints are the outer loop
     v = cons.first_violation([skewed, tiny])
     assert v.constraint == "k_anonymity"
     assert v.extent == tiny.extent
     assert "< k=2" in v.detail
-    assert cons.first_violation([mk([0, 1, 2, 3, 4])]) is None
-    assert cons.feasible([mk([0, 2, 4]), mk([1, 3])]) is False
+    assert cons.first_violation([mk(tax_space, [0, 1, 2, 3, 4])]) is None
+    assert cons.feasible([mk(tax_space, [0, 2, 4]),
+                          mk(tax_space, [1, 3])]) is False

@@ -134,3 +134,38 @@ def test_sample_dataset_deterministic():
     assert len(s1) == 4
     assert sample_dataset(ds, 99, seed=0) is ds
     assert set(s1.rows) <= set(rows)
+
+
+@pytest.mark.parametrize("tail,line,message", [
+    # each distinct text is checked once per column: a bad text first
+    # seen after many good repeats still names its own line
+    ("1,zzz\n", 62, "column 2 (c): unknown value 'zzz'"),
+    (" 99 ,b\n", 62, "column 1 (x): 99.0 outside domain [0.0, 10.0]"),
+    # "a" is a good value of c but not of x
+    ("a,a\n", 62, "column 1 (x): not a number: 'a'"),
+    ("3, \n", 62, "column 2 (c): missing value"),
+    # a bad text repeated: the first line is reported
+    ("2,b\n1,  zzz\n1,zzz\n", 63, "column 2 (c): unknown value 'zzz'"),
+])
+def test_load_dataset_errors_after_repeats(tmp_path, tail, line, message):
+    schema = load_config(BASE)
+    good = ["5,a", " 5 ,a", "5, a ", "5.0,a", "2,b", "2 ,  b"] * 10
+    p = write(tmp_path, "x,c\n" + "\n".join(good) + "\n" + tail)
+    with pytest.raises(DataError) as err:
+        load_dataset(p, schema)
+    assert str(err.value) == f"{p}:{line}: {message}"
+
+
+def test_load_dataset_whitespace_variants_parse_alike(tmp_path):
+    schema = load_config(BASE)
+    p = write(tmp_path, "x,c\n5,a\n 5 ,a\n5, a \n5.0,a\n 2,b\n2 , b\n")
+    ds = load_dataset(p, schema)
+    assert ds.rows == [(5.0, "a")] * 4 + [(2.0, "b")] * 2
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_dataset_rejects_sizes_below_one(n):
+    # before, n = 0 kept no rows and n = -1 dropped the last one
+    ds = Dataset(load_config(BASE), [(float(i), "a") for i in range(4)])
+    with pytest.raises(ValueError, match=f"sample size must be >= 1, got {n}"):
+        sample_dataset(ds, n)

@@ -10,9 +10,10 @@ from anonsearch.partition import (Block, Internal, Leaf, Space,
                                   legal_moves, normalize, parent_child_switch)
 from anonsearch.splits import Move
 
-from conftest import (build_space, geometric_is_cut, random_instance,
-                      random_loose_tree, random_tree, rebuild_canonical,
-                      reference_legal_move, reference_splittable_leaves)
+from conftest import (block_rows, build_space, geometric_is_cut,
+                      random_instance, random_loose_tree, random_tree,
+                      rebuild_canonical, reference_legal_move,
+                      reference_splittable_leaves)
 
 
 def mv(space, split_id):
@@ -30,12 +31,14 @@ def test_numeric_boundary_value_goes_tree_left(grid_space):
     cfg_rows = grid_space.dataset.rows
     left, right = grid_space.apply_split(grid_space.root_block, s)
     assert left.extent[0] == (0.0, 2.0) and right.extent[0] == (2.0, 4.0)
-    for r in left.rows:
+    left_rows = block_rows(grid_space, left)
+    right_rows = block_rows(grid_space, right)
+    for r in left_rows:
         assert cfg_rows[r][0] <= 2
-    for r in right.rows:
+    for r in right_rows:
         assert cfg_rows[r][0] > 2
-    assert sorted(left.rows + right.rows) == list(
-        grid_space.root_block.rows)
+    assert sorted(left_rows + right_rows) == block_rows(
+        grid_space, grid_space.root_block)
 
 
 def test_categorical_tree_left_is_upper_range(tax_space):
@@ -44,10 +47,11 @@ def test_categorical_tree_left_is_upper_range(tax_space):
     # lower-id side holds the positions at and above the boundary
     assert left.extent[0] == (2, 4)
     assert right.extent[0] == (0, 2)
-    for r in left.rows:
-        assert tax_space.columns[0][r] >= 2
-    for r in right.rows:
-        assert tax_space.columns[0][r] < 2
+    pos = tax_space.qi_schema[0].taxonomy.leaf_position
+    for r in block_rows(tax_space, left):
+        assert pos(tax_space.dataset.rows[r][0]) >= 2
+    for r in block_rows(tax_space, right):
+        assert pos(tax_space.dataset.rows[r][0]) < 2
 
 
 def test_move_blocks_chain_covers_children(tax_space):
@@ -83,7 +87,8 @@ def test_available_moves_memoized_per_extent(grid_space, tax_space):
         for tree in enumerate_trees(space):
             for b in tree.leaf_blocks():
                 moves = space.available_moves(b)
-                again = space.available_moves(Block(b.extent, b.rows))
+                again = space.available_moves(
+                    Block(b.extent, b.cells, b.count))
                 assert again is moves
                 assert cold.available_moves(b) == moves
 
