@@ -26,8 +26,7 @@ def main():
     ap.add_argument("--mode", default="optimal",
                     choices=["optimal", "approx"])
     ap.add_argument("--alpha", type=float, default=1.0)
-    ap.add_argument("--priority", default="lb",
-                    choices=["lb", "cost", "lbcost"])
+    ap.add_argument("--priority", default="lb", choices=["lb", "cost"])
     ap.add_argument("--node-limit", type=int, default=None)
     ap.add_argument("--time-limit", type=float, default=None)
     ap.add_argument("--max-queue", type=int, default=100_000)
@@ -38,7 +37,7 @@ def main():
     if args.sample:
         ds = sample_dataset(ds, args.sample, args.seed)
     space = Space(ds, generate_splits(schema, ds.rows))
-    metric = make_metric(args.metric, space, k=args.k or 1)
+    metric = make_metric(args.metric, space)
     cons = build_constraints(space, k=args.k, l_div=args.l)
 
     t0 = time.monotonic()

@@ -7,41 +7,17 @@ privacy constraints (k-anonymity, extent length restrictions, entropy
 l-diversity, t-closeness, eps-privacy).
 """
 
-from .bounds import BoundContext, lower_bound
-from .constraints import (ConstraintSet, EntropyLDiversity, EpsPrivacy,
-                          KAnonymity, MinLength, TCloseness,
-                          build_constraints, ordered_distance)
-from .dataset import (AttributeSchema, ConfigError, DataError, Dataset,
-                      TaxonomyTree, load_config, load_dataset,
-                      sample_dataset, taxonomy_from_dict)
-from .enumeration import (count_partitions, distinct_signatures,
-                          enumerate_trees, multi_enumerate)
-from .metrics import (ClassificationError, CountedBlock, Discernibility,
-                      Metric, VolumeMetric, count_estimate, make_metric,
-                      parse_query, query_error_report, theoretical_bound,
-                      true_count)
-from .partition import (Block, Internal, Leaf, PartitionTree, Space,
-                        detect_legal_move, is_cut, is_legal, legal_moves,
-                        normalize, parent_child_switch)
-from .search import (GreedyResult, SearchConfig, SearchResult,
-                     improve_from_seed, mondrian_greedy, search)
-from .splits import Move, Split, SplitSet, generate_splits
+from .constraints import build_constraints
+from .dataset import load_config, load_dataset, sample_dataset
+from .metrics import make_metric
+from .partition import Space
+from .search import SearchConfig, mondrian_greedy, search
+from .splits import generate_splits
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeSchema", "Block", "BoundContext", "ClassificationError",
-    "ConfigError", "ConstraintSet", "CountedBlock", "DataError", "Dataset",
-    "Discernibility", "EntropyLDiversity", "EpsPrivacy", "GreedyResult",
-    "Internal", "KAnonymity", "Leaf", "Metric", "MinLength", "Move",
-    "PartitionTree", "SearchConfig", "SearchResult", "Space", "Split",
-    "SplitSet", "TCloseness", "TaxonomyTree", "VolumeMetric",
-    "build_constraints", "count_estimate", "count_partitions",
-    "detect_legal_move", "distinct_signatures", "enumerate_trees",
-    "generate_splits", "improve_from_seed", "is_cut", "is_legal",
-    "legal_moves", "load_config", "load_dataset", "lower_bound",
-    "make_metric", "mondrian_greedy", "multi_enumerate", "normalize",
-    "ordered_distance", "parent_child_switch", "parse_query",
-    "query_error_report", "sample_dataset", "search", "taxonomy_from_dict",
-    "theoretical_bound", "true_count",
+    "SearchConfig", "Space", "build_constraints", "generate_splits",
+    "load_config", "load_dataset", "make_metric", "mondrian_greedy",
+    "sample_dataset", "search",
 ]

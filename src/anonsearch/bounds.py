@@ -4,9 +4,10 @@ Only leaves that are still splittable (those after the most recent move
 head in pre-order) can be refined; every other leaf pays its exact cost. A
 refinable leaf is charged the cost of cutting it into the finest cells
 the split set allows, with the per-cell floor supplied by the metric.
-For the squared-size metric a cell below the minimum admissible size k
-is charged k per tuple, since any feasible solution must merge it into a
-block of at least k tuples.
+The constraints give the smallest admissible block size
+(`ConstraintSet.min_block_size`); for the squared-size metric a cell
+below it is charged that size per tuple, since any feasible solution
+must merge it into a block of at least that many tuples.
 
 Every block extent lies on split planes, so a block's finest cells are
 exactly the cells it lists (`Block.cells`, binned once by the `Space`),
@@ -34,16 +35,18 @@ class BoundContext:
     extent.
 
     The finest-cell table lives on the `Space`; this keeps the metric's
-    floor of each non-empty cell. A new extent costs one addition per
-    cell of the block, in ascending cell order: the order of the cells'
-    first rows, so row order can move only the last ulp of a vm sum; dm
-    and cm floors are integers, exact in any order.
+    floor of each non-empty cell under the constraints' minimum block
+    size. A new extent costs one addition per cell of the block, in
+    ascending cell order: the order of the cells' first rows, so row
+    order can move only the last ulp of a vm sum; dm and cm floors are
+    integers, exact in any order.
     """
 
-    def __init__(self, space, metric):
+    def __init__(self, space, metric, constraints):
         self.metric = metric
         self._memo: dict = {}
-        self._floors = [metric.floor_cost(space.cell_block(cell))
+        size_floor = constraints.min_block_size()
+        self._floors = [metric.floor_cost(space.cell_block(cell), size_floor)
                         for cell in range(len(space.cell_counts))]
 
     def min_cost(self, block) -> float:

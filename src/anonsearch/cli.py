@@ -90,8 +90,7 @@ def build_parser():
     ps.add_argument("--mode", default="optimal", choices=["optimal", "approx"])
     ps.add_argument("--alpha", type=float, default=1.0,
                     help="approximation factor for --mode approx")
-    ps.add_argument("--priority", default="lb",
-                    choices=["lb", "cost", "lbcost"])
+    ps.add_argument("--priority", default="lb", choices=["lb", "cost"])
     ps.add_argument("--max-queue", type=int, default=100_000)
     ps.add_argument("--time-limit", type=float, default=None,
                     help="seconds; exceeding it returns best effort")
@@ -150,8 +149,7 @@ def _load_space(args):
 
 
 def _build_problem(args, space):
-    metric = make_metric(args.metric, space, k=args.k or 1,
-                         class_attr=args.class_attr,
+    metric = make_metric(args.metric, space, class_attr=args.class_attr,
                          unit_volume=args.unit_volume)
     eps = None
     if args.eps is not None:
@@ -275,7 +273,8 @@ def _cmd_search(args) -> int:
         "alpha": cfg.alpha,
         "priority": args.priority,
         "constraints": _constraint_echo(args),
-        "theoretical_bound": theoretical_bound(metric, space),
+        "theoretical_bound": theoretical_bound(metric, space,
+                                               cons.min_block_size()),
         "n_rows": len(space.dataset),
         "n_splits": len(space.splits),
         "n_blocks": len(res.blocks) if res.blocks else 0,

@@ -15,7 +15,9 @@ from .dataset import ConfigError
 class Metric:
     """Base: cost(blocks) = sum of block_cost. `floor_cost` is the term of
     one finest cell, given as a block, when bounding from below on finest
-    cells; by default the cell's own cost."""
+    cells; `size_floor` is the smallest non-empty block size the
+    constraints allow (`ConstraintSet.min_block_size`). By default the
+    term is the cell's own cost."""
 
     name = "?"
 
@@ -25,25 +27,24 @@ class Metric:
     def cost(self, blocks) -> float:
         return sum(self.block_cost(b) for b in blocks)
 
-    def floor_cost(self, cell):
+    def floor_cost(self, cell, size_floor):
         return self.block_cost(cell)
 
 
-@dataclass(frozen=True)
 class Discernibility(Metric):
-    """Sum of squared block sizes. `k` is the smallest admissible block
-    size; cells below it are charged k per tuple in lower bounds."""
+    """Sum of squared block sizes. In lower bounds a cell below the size
+    floor is charged the floor per tuple, since a feasible partition puts
+    it in a block of at least that many tuples."""
 
-    k: int = 1
     name = "dm"
 
     def block_cost(self, block):
         n = block.count
         return n * n
 
-    def floor_cost(self, cell):
+    def floor_cost(self, cell, size_floor):
         n = cell.count
-        return n * n if n >= self.k else self.k * n
+        return n * n if n >= size_floor else size_floor * n
 
 
 class ClassificationError(Metric):
@@ -101,9 +102,9 @@ class VolumeMetric(Metric):
         return block.count * self.volume(block.extent) / self.unit_volume
 
 
-def make_metric(name, space, k=1, class_attr=None, unit_volume=None) -> Metric:
+def make_metric(name, space, class_attr=None, unit_volume=None) -> Metric:
     if name == "dm":
-        return Discernibility(k=k)
+        return Discernibility()
     if name == "cm":
         if class_attr is None:
             for a in space.dataset.schema:
@@ -120,11 +121,12 @@ def make_metric(name, space, k=1, class_attr=None, unit_volume=None) -> Metric:
     raise ConfigError(f"unknown metric {name!r}")
 
 
-def theoretical_bound(metric: Metric, space) -> float:
-    """Instance-wide lower bound on the metric over all partitions."""
+def theoretical_bound(metric: Metric, space, size_floor: int) -> float:
+    """Instance-wide lower bound on the metric over all partitions whose
+    non-empty blocks hold at least `size_floor` tuples."""
     n = len(space.dataset)
     if metric.name == "dm":
-        return metric.k * n
+        return size_floor * n
     if metric.name == "cm":
         return 0
     if metric.name == "vm":

@@ -126,7 +126,7 @@ class Space:
         self._label_tables: dict = {}
 
     def root_tree(self) -> "PartitionTree":
-        return PartitionTree(self, Leaf(self.root_block), 0)
+        return PartitionTree(self, Leaf(self.root_block))
 
     def cell_block(self, cell) -> Block:
         """One finest cell as a block."""
@@ -232,12 +232,11 @@ class Space:
 class PartitionTree:
     """Immutable tree handle; mutation returns a new tree sharing nodes."""
 
-    __slots__ = ("space", "root", "n_internal")
+    __slots__ = ("space", "root")
 
-    def __init__(self, space: Space, root, n_internal: int):
+    def __init__(self, space: Space, root):
         self.space = space
         self.root = root
-        self.n_internal = n_internal
 
     # ---- traversal ----
 
@@ -324,8 +323,7 @@ class PartitionTree:
                             chain(right, i + 1))
 
         sub = chain(leaf.block, 0)
-        return PartitionTree(self.space, self._replaced(self.root, path, sub),
-                             self.n_internal + len(move.splits))
+        return PartitionTree(self.space, self._replaced(self.root, path, sub))
 
 
 # ---- cut detection and move legality ----
@@ -479,8 +477,7 @@ def parent_child_switch(tree: PartitionTree, path, child=None) -> PartitionTree:
         new = _left_rotate(tree.space, n)
     else:
         raise ValueError(f"bad child {child!r}")
-    return PartitionTree(tree.space, tree._replaced(tree.root, path, new),
-                         tree.n_internal)
+    return PartitionTree(tree.space, tree._replaced(tree.root, path, new))
 
 
 # ---- canonical form ----
@@ -524,7 +521,7 @@ def normalize(tree: PartitionTree) -> PartitionTree:
     applicable move that all blocks respect sits on top, recursively. A
     categorical expansion counts as one move with the id of its first cut."""
     root = _canon_node(tree.space, tree.space.root_block, tree.leaf_blocks())
-    return PartitionTree(tree.space, root, tree.n_internal)
+    return PartitionTree(tree.space, root)
 
 
 def is_legal(tree: PartitionTree) -> bool:

@@ -1,10 +1,10 @@
 """Best-first search for a minimum-cost feasible partition.
 
 Nodes are partition trees from the duplicate-free order, keyed by lower
-bound, cost, or their ratio. Every feasible node generated updates the
-incumbent immediately; children are enqueued only while alpha * bound
-stays below the incumbent, so alpha = 1 proves optimality and alpha > 1
-proves an alpha-approximation once the queue drains.
+bound or cost. Every feasible node generated updates the incumbent
+immediately; children are enqueued only while alpha * bound stays below
+the incumbent, so alpha = 1 proves optimality and alpha > 1 proves an
+alpha-approximation once the queue drains.
 
 Blocks violating a monotone constraint can never be repaired by further
 splitting, so such nodes are discarded entirely; nodes violating only
@@ -77,7 +77,7 @@ class SearchConfigError(ValueError):
 class SearchConfig:
     mode: str = "optimal"        # "optimal" | "approx"
     alpha: float = 1.0           # approximation factor, >= 1
-    priority: str = "lb"         # "lb" | "cost" | "lbcost"
+    priority: str = "lb"         # "lb" | "cost"
     max_queue: int = 100_000
     time_limit: float | None = None   # seconds
     node_limit: int | None = None     # generated nodes
@@ -89,7 +89,7 @@ class SearchConfig:
             self.alpha = 1.0
         elif not self.alpha >= 1:
             raise SearchConfigError("alpha", f"must be >= 1, got {self.alpha:g}")
-        if self.priority not in ("lb", "cost", "lbcost"):
+        if self.priority not in ("lb", "cost"):
             raise ValueError(f"bad priority {self.priority!r}")
         if self.max_queue < 1:
             raise SearchConfigError(
@@ -147,8 +147,9 @@ class _Searcher:
         self.cons = constraints
         self.cfg = config
         self.seed_tree = seed_tree
-        self.bctx = BoundContext(space, metric)
-        self.theory = theoretical_bound(metric, space)
+        self.bctx = BoundContext(space, metric, constraints)
+        self.theory = theoretical_bound(metric, space,
+                                        constraints.min_block_size())
         self._costs: dict = {}
         self._terms: dict = {}   # (extent, move id) -> child's terms
         self.stats = SearchStats()
@@ -238,9 +239,6 @@ class _Searcher:
     def _key(self, node: _Node):
         if self.cfg.priority == "cost":
             return (node.cost, node.lb)
-        if self.cfg.priority == "lbcost":
-            r = node.lb / node.cost if node.cost > 0 else 0.0
-            return (r, node.lb)
         return (node.lb, node.cost)
 
     # ---- incumbent / bookkeeping ----
@@ -445,21 +443,11 @@ class _Searcher:
 def search(space: Space, metric: Metric, constraints: ConstraintSet,
            config: SearchConfig | None = None,
            seed_tree: PartitionTree | None = None) -> SearchResult:
+    """Best-first search under `config`. A feasible `seed_tree` (e.g. a
+    greedy solution) preloads the incumbent, so the result is never worse
+    than the seed."""
     cfg = config or SearchConfig()
-    floor = constraints.min_block_size()
-    if metric.name == "dm" and metric.k > floor:
-        # the bound charges k per tuple of a smaller cell; with k above
-        # the constraints' floor it would exceed feasible costs
-        raise ValueError(f"metric k={metric.k} exceeds the smallest block "
-                         f"size the constraints allow, {floor}")
     return _Searcher(space, metric, constraints, cfg, seed_tree).run()
-
-
-def improve_from_seed(space, metric, constraints, seed_tree,
-                      config=None) -> SearchResult:
-    """Search with the incumbent preloaded from a known feasible tree,
-    e.g. a greedy solution. Never returns anything worse than the seed."""
-    return search(space, metric, constraints, config, seed_tree=seed_tree)
 
 
 # ---- greedy baseline ----

@@ -72,9 +72,8 @@ class SplitSet:
             if s.set_id >= 0:
                 sets.setdefault(s.set_id, ())
                 sets[s.set_id] += (s,)
-        self.sibling_sets = sets
         self.expansions: dict[tuple, Move] = {}
-        for set_id, members in sets.items():
+        for members in sets.values():
             attr = members[0].attr
             tax = self.schema[attr].taxonomy
             node = tax.node(members[0].owner)

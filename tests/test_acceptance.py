@@ -24,8 +24,7 @@ from anonsearch.enumeration import (count_partitions, distinct_signatures,
 from anonsearch.metrics import (CountedBlock, count_estimate, make_metric,
                                 true_count)
 from anonsearch.partition import Space, legal_moves
-from anonsearch.search import (SearchConfig, improve_from_seed,
-                               mondrian_greedy, search)
+from anonsearch.search import SearchConfig, mondrian_greedy, search
 from anonsearch.splits import Move, generate_splits
 
 from conftest import build_space, random_instance, random_tree
@@ -55,13 +54,12 @@ def numeric_qi_names(space):
 
 
 def constraint_families(space):
-    """The three monotone families exercised by the optimality suite,
-    with the size parameter each one feeds to the bound context."""
+    """The three monotone families exercised by the optimality suite."""
     lens = {name: 2.5 for name in numeric_qi_names(space)}
     return {
-        "size": (build_constraints(space, k=2), 2),
-        "diversity": (build_constraints(space, l_div=1.2), 1),
-        "length": (build_constraints(space, min_lengths=lens), 1),
+        "size": build_constraints(space, k=2),
+        "diversity": build_constraints(space, l_div=1.2),
+        "length": build_constraints(space, min_lengths=lens),
     }
 
 
@@ -124,9 +122,10 @@ def test_worked_instance_cost_and_bound_are_exact():
     for path, sid in [((), 1), ((0,), 5), ((1,), 2), ((1, 0), 5),
                       ((1, 1), 4)]:
         tree = tree.apply_move(path, Move((space.splits.by_id[sid],)))
-    metric = make_metric("dm", space, k=2)
+    metric = make_metric("dm", space)
+    cons = build_constraints(space, k=2)
     assert metric.cost(tree.leaf_blocks()) == 41
-    assert lower_bound(tree, BoundContext(space, metric)) == 33
+    assert lower_bound(tree, BoundContext(space, metric, cons)) == 33
 
 
 # ---- 4: optimal mode matches the exhaustive oracle ----
@@ -135,9 +134,9 @@ def test_optimal_search_matches_exhaustive_oracle():
     feasible_runs = 0
     for space in suite_instances():
         partitions = all_partitions(space)
-        for fam, (cons, kk) in constraint_families(space).items():
+        for cons in constraint_families(space).values():
             for name in ("dm", "cm", "vm"):
-                metric = make_metric(name, space, k=kk)
+                metric = make_metric(name, space)
                 opt = oracle_optimum(partitions, metric, cons)
                 res = search(space, metric, cons)
                 if math.isinf(opt):
@@ -161,7 +160,7 @@ def test_alpha_mode_keeps_approximation_promise():
         partitions = all_partitions(space)
         cons = build_constraints(space, k=2)
         for name in ("dm", "cm", "vm"):
-            metric = make_metric(name, space, k=2)
+            metric = make_metric(name, space)
             opt = oracle_optimum(partitions, metric, cons)
             if math.isinf(opt):
                 continue
@@ -218,16 +217,16 @@ def test_cost_and_feasibility_are_monotone_along_edges():
 def test_greedy_bounds_optimal_and_seeding_never_hurts():
     for space in suite_instances():
         partitions = all_partitions(space)
-        for fam, (cons, kk) in constraint_families(space).items():
+        for cons in constraint_families(space).values():
             for name in ("dm", "cm", "vm"):
-                metric = make_metric(name, space, k=kk)
+                metric = make_metric(name, space)
                 opt = oracle_optimum(partitions, metric, cons)
                 g = mondrian_greedy(space, metric, cons)
                 assert g.feasible == (not math.isinf(opt))
                 if not g.feasible:
                     continue
                 assert g.cost >= opt * (1 - RELTOL)
-                imp = improve_from_seed(space, metric, cons, g.tree)
+                imp = search(space, metric, cons, seed_tree=g.tree)
                 assert imp.best_cost <= g.cost * (1 + RELTOL)
 
 
@@ -238,14 +237,14 @@ def test_lower_bound_never_exceeds_feasible_descendants():
     for space in suite_instances():
         fams = constraint_families(space)
         metrics = {m: make_metric(m, space) for m in metric_names}
-        ctxs = {(m, kk): BoundContext(space, make_metric(m, space, k=kk))
-                for m in metric_names for kk in (1, 2)}
+        ctxs = {(m, fam): BoundContext(space, metrics[m], cons)
+                for m in metric_names for fam, cons in fams.items()}
 
         def rec(tree):
             blocks = tree.leaf_blocks()
             costs = {m: metrics[m].cost(blocks) for m in metric_names}
             mins = {}
-            for fam, (cons, _) in fams.items():
+            for fam, cons in fams.items():
                 ok = cons.feasible(blocks)
                 for m in metric_names:
                     mins[(m, fam)] = costs[m] if ok else INF
@@ -256,7 +255,7 @@ def test_lower_bound_never_exceeds_feasible_descendants():
             for (m, fam), best in mins.items():
                 if math.isinf(best):
                     continue
-                lb = lower_bound(tree, ctxs[(m, fams[fam][1])])
+                lb = lower_bound(tree, ctxs[(m, fam)])
                 assert lb <= best * (1 + RELTOL) + 1e-12
             return mins
 
@@ -351,13 +350,14 @@ def test_smoke_scale_census_run(tmp_path):
     space = Space(ds, generate_splits(schema, ds.rows))
     assert len(space.splits) == 20
 
-    metric = make_metric("dm", space, k=50)
+    metric = make_metric("dm", space)
     cons = build_constraints(space, k=50)
     t0 = time.monotonic()
     g = mondrian_greedy(space, metric, cons)
     assert g.feasible
-    res = improve_from_seed(space, metric, cons, g.tree,
-                            SearchConfig(node_limit=1500, time_limit=55.0))
+    res = search(space, metric, cons,
+                 SearchConfig(node_limit=1500, time_limit=55.0),
+                 seed_tree=g.tree)
     assert time.monotonic() - t0 < 60.0
 
     assert res.best_tree is not None and math.isfinite(res.best_cost)

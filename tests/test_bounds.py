@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsearch.bounds import BoundContext, lower_bound
+from anonsearch.constraints import build_constraints
 from anonsearch.dataset import Dataset
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.metrics import make_metric
 from anonsearch.partition import Leaf, Space, legal_moves
+from anonsearch.search import SearchConfig, search
 from anonsearch.splits import Move
 
 from conftest import build_space, oracle_min_cost, random_instance, random_tree
@@ -38,9 +40,9 @@ def worked_tree(space):
 
 def test_worked_example_cost_and_bound():
     space = worked_space()
-    metric = make_metric("dm", space, k=2)
+    metric = make_metric("dm", space)
     tree = worked_tree(space)
-    ctx = BoundContext(space, metric)
+    ctx = BoundContext(space, metric, build_constraints(space, k=2))
     assert metric.cost(tree.leaf_blocks()) == 41
     # four frozen pair-blocks pay 4 each; the two refinable blocks pay
     # their finest-grid floors 6 and 11
@@ -52,19 +54,45 @@ def test_size_floor_uses_min_admissible_size():
     space = worked_space()
     tree = worked_tree(space)
     blk = tree.node_at((1, 1, 0)).block  # 3 rows split 2 + 1 by x=3
-    assert BoundContext(space, make_metric("dm", space, k=2)).min_cost(blk) == 6
-    assert BoundContext(space, make_metric("dm", space, k=1)).min_cost(blk) == 5
+    metric = make_metric("dm", space)
+    for k, want in [(2, 6), (1, 5)]:
+        ctx = BoundContext(space, metric, build_constraints(space, k=k))
+        assert ctx.min_cost(blk) == want
+
+
+def test_size_floor_comes_from_l_diversity_alone():
+    # ceil(2.5) = 3 distinct labels need 3 rows, so with no k every row of
+    # a cell below 3 rows is charged 3
+    cfg = {"attributes": [
+        {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 4],
+         "splits": {"type": "explicit", "values": [1, 2, 3]}},
+        {"name": "s", "kind": "categorical", "role": "sensitive",
+         "values": ["a", "b", "c"]},
+    ]}
+    xs = [0.5, 1.5, 1.6, 2.5, 2.6, 2.7, 3.5, 3.6, 3.7, 3.8]
+    space = build_space(cfg, list(zip(xs, "abcabcabca")))
+    metric = make_metric("dm", space)
+    cons = build_constraints(space, l_div=2.5)
+    ctx = BoundContext(space, metric, cons)
+    cells = [space.cell_block(c) for c in range(len(space.cell_counts))]
+    assert [c.count for c in cells] == [1, 2, 3, 4]
+    assert [ctx.min_cost(c) for c in cells] == [3, 6, 9, 16]
+    assert ctx.min_cost(space.root_block) == 34
+    res = search(space, metric, cons, SearchConfig(node_limit=1))
+    assert res.status == "exhausted" and res.lower_bound == 34
 
 
 def test_root_bound_is_finest_grid(grid_space):
     # the six points land in six distinct unit cells
     for name, want in [("dm", 6), ("vm", 6.0)]:
-        ctx = BoundContext(grid_space, make_metric(name, grid_space))
+        ctx = BoundContext(grid_space, make_metric(name, grid_space),
+                           build_constraints(grid_space))
         assert ctx.min_cost(grid_space.root_block) == want
 
 
 def test_majority_floor(tax_space):
-    ctx = BoundContext(tax_space, make_metric("cm", tax_space))
+    ctx = BoundContext(tax_space, make_metric("cm", tax_space),
+                       build_constraints(tax_space))
     assert ctx.min_cost(tax_space.root_block) == 0  # singleton cells
     assert lower_bound(tax_space.root_tree(), ctx) == 0
 
@@ -76,7 +104,7 @@ def test_bound_exact_when_nothing_splits():
     ]}
     space = build_space(cfg, [(1.0,), (2.0,), (3.0,)])
     metric = make_metric("dm", space)
-    ctx = BoundContext(space, metric)
+    ctx = BoundContext(space, metric, build_constraints(space))
     tree = space.root_tree()
     assert lower_bound(tree, ctx) == metric.cost(tree.leaf_blocks()) == 9
 
@@ -105,15 +133,16 @@ def replayed_blocks(node, space, block):
 def test_min_cost_matches_oracle(seed, name, k):
     rng = random.Random(seed)
     space = random_instance(rng)
-    metric = make_metric(name, space, k=k)
-    ctx = BoundContext(space, metric)
+    metric = make_metric(name, space)
+    ctx = BoundContext(space, metric, build_constraints(space, k=k))
     tree = random_tree(space, rng)
     # the same rows in another order: cells are met in another order, which
     # may move only vm's last ulp
     rows = list(space.dataset.rows)
     rng.shuffle(rows)
     shuffled = Space(Dataset(space.dataset.schema, rows), space.splits)
-    sctx = BoundContext(shuffled, make_metric(name, shuffled, k=k))
+    sctx = BoundContext(shuffled, make_metric(name, shuffled),
+                        build_constraints(shuffled, k=k))
     sblocks = replayed_blocks(tree.root, shuffled, shuffled.root_block)
     for b, sb in zip(tree.leaf_blocks(), sblocks, strict=True):
         assert sb.extent == b.extent
@@ -150,8 +179,8 @@ def test_min_cost_with_rows_on_cell_boundaries(name):
             seen.setdefault(node.block.extent, node.block)
     assert len(seen) == 6 * 7   # x ranges times taxonomy nodes
     for k in (1, 2, 3):
-        metric = make_metric(name, space, k=k)
-        ctx = BoundContext(space, metric)
+        metric = make_metric(name, space)
+        ctx = BoundContext(space, metric, build_constraints(space, k=k))
         for block in seen.values():
             want = oracle_min_cost(space, block, metric, k=k)
             assert_matches(ctx.min_cost(block), want, name)
@@ -169,8 +198,8 @@ def test_bound_never_decreases_along_edges(seed, name):
 
     rng = random.Random(seed)
     space = random_instance(rng, rows_range=(8, 20))
-    metric = make_metric(name, space, k=2)
-    ctx = BoundContext(space, metric)
+    metric = make_metric(name, space)
+    ctx = BoundContext(space, metric, build_constraints(space, k=2))
     tree = random_tree(space, rng, max_moves=3)
     if not sized_ok(tree):
         return
@@ -188,8 +217,8 @@ def test_bound_below_every_feasible_descendant_cost(seed):
     rng = random.Random(seed)
     space = random_instance(rng, total_splits=rng.randint(2, 4),
                             rows_range=(4, 8))
-    metric = make_metric("dm", space, k=2)
-    ctx = BoundContext(space, metric)
+    metric = make_metric("dm", space)
+    ctx = BoundContext(space, metric, build_constraints(space, k=2))
 
     def rec(tree, stack):
         lb = lower_bound(tree, ctx)

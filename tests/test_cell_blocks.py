@@ -54,12 +54,12 @@ def row_cells(space, columns, block):
     return sorted(out, key=lambda c: min(c.rows))
 
 
-def row_min_cost(name, metric, cells, labels, k):
+def row_min_cost(name, metric, cells, labels, size_floor):
     total = 0.0
     for cell in cells:
         m = cell.count
         if name == "dm":
-            total += m * m if m >= k else k * m
+            total += m * m if m >= size_floor else size_floor * m
         else:
             total += row_cost(name, metric, cell, labels)
     return total
@@ -88,8 +88,7 @@ def row_ok(c, block, labels, order):
 
 
 def problem(space, k, l_div, t):
-    metrics = {name: make_metric(name, space, k=k)
-               for name in ("dm", "cm", "vm")}
+    metrics = {name: make_metric(name, space) for name in ("dm", "cm", "vm")}
     cons = build_constraints(space, k=k, l_div=l_div, t_close=t,
                              eps={"eps": 4, "sigma": 1, "b": 1})
     return metrics, cons
@@ -115,8 +114,12 @@ def test_cell_blocks_match_row_scans(seed):
     l_div, t = rng.choice([1.5, 2.0, 2.5]), rng.choice([0.1, 0.3, 0.6])
     metrics, cons = problem(space, k, l_div, t)
     smetrics, scons = problem(shuffled, k, l_div, t)
-    ctxs = {name: BoundContext(space, m) for name, m in metrics.items()}
-    sctxs = {name: BoundContext(shuffled, m) for name, m in smetrics.items()}
+    ctxs = {name: BoundContext(space, m, cons) for name, m in metrics.items()}
+    sctxs = {name: BoundContext(shuffled, m, scons)
+             for name, m in smetrics.items()}
+    # entropy l-diversity needs ceil(l) distinct labels, so no feasible
+    # block is smaller than that or k
+    size_floor = max(k, math.ceil(l_div))
 
     def replay(node, ref, sblock):
         yield node.block, ref, sblock
@@ -143,7 +146,8 @@ def test_cell_blocks_match_row_scans(seed):
                 assert cost == row_cost(name, metric, ref, labels)
                 assert smetrics[name].block_cost(sblock) == cost
                 bound = ctxs[name].min_cost(block)
-                assert bound == row_min_cost(name, metric, cells, labels, k)
+                assert bound == row_min_cost(name, metric, cells, labels,
+                                             size_floor)
                 if name != "vm":   # vm may differ in the last ulp
                     assert sctxs[name].min_cost(sblock) == bound
             oks = [row_ok(c, ref, labels, order) for c in cons]

@@ -14,7 +14,7 @@ from conftest import brute_best, build_space, random_instance
 
 
 def test_greedy_splits_while_it_helps(grid_space):
-    metric = make_metric("dm", grid_space, k=2)
+    metric = make_metric("dm", grid_space)
     cons = build_constraints(grid_space, k=2)
     g = mondrian_greedy(grid_space, metric, cons)
     assert g.feasible and not g.certified
@@ -27,7 +27,7 @@ def test_greedy_splits_while_it_helps(grid_space):
 
 def test_greedy_infeasible_root(grid_space):
     cons = build_constraints(grid_space, k=7)
-    g = mondrian_greedy(grid_space, make_metric("dm", grid_space, k=7), cons)
+    g = mondrian_greedy(grid_space, make_metric("dm", grid_space), cons)
     assert not g.feasible
     assert g.tree is None and math.isinf(g.cost) and g.steps == 0
 
@@ -57,7 +57,7 @@ def test_greedy_respects_non_monotone_checks():
 def test_greedy_bounded_by_optimum(seed, name):
     rng = random.Random(seed)
     space = random_instance(rng)
-    metric = make_metric(name, space, k=2)
+    metric = make_metric(name, space)
     cons = build_constraints(space, k=2)
     g = mondrian_greedy(space, metric, cons)
     want = brute_best(space, metric, cons)

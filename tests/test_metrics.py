@@ -48,9 +48,10 @@ def test_volume_counts_categorical_leaves(tax_space):
 
 
 def test_theoretical_bounds(grid_space):
-    assert theoretical_bound(make_metric("dm", grid_space, k=3),
-                             grid_space) == 18
-    assert theoretical_bound(make_metric("vm", grid_space), grid_space) == 6
+    assert theoretical_bound(make_metric("dm", grid_space), grid_space,
+                             3) == 18
+    assert theoretical_bound(make_metric("vm", grid_space), grid_space,
+                             3) == 6
 
 
 def test_unknown_metric(grid_space):

@@ -14,7 +14,7 @@ from anonsearch.dataset import Dataset, load_config, sample_dataset
 from anonsearch.metrics import make_metric, theoretical_bound
 from anonsearch.partition import Space, is_legal, legal_moves
 from anonsearch.search import (SearchConfig, SearchConfigError, _Searcher,
-                               improve_from_seed, mondrian_greedy, search)
+                               mondrian_greedy, search)
 from anonsearch.splits import Move, generate_splits
 
 from conftest import brute_best, build_space, random_instance, random_tree
@@ -58,8 +58,9 @@ def test_config_validation():
         SearchConfig(mode="best")
     with pytest.raises(ValueError):
         SearchConfig(mode="approx", alpha=0.5)
-    with pytest.raises(ValueError):
-        SearchConfig(priority="dfs")
+    for bad in ("dfs", "lbcost"):
+        with pytest.raises(ValueError):
+            SearchConfig(priority=bad)
     for bad in ({"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
                 {"time_limit": -0.5}, {"time_limit": math.nan}):
         with pytest.raises(SearchConfigError) as info:
@@ -75,7 +76,7 @@ def test_config_validation():
 def test_search_matches_brute_force(seed, name, k):
     rng = random.Random(seed)
     space = random_instance(rng)
-    metric = make_metric(name, space, k=k)
+    metric = make_metric(name, space)
     cons = build_constraints(space, k=k)
     want = brute_best(space, metric, cons)
     res = search(space, metric, cons)
@@ -118,7 +119,7 @@ def test_search_matches_brute_force_other_constraints(seed, which):
 def test_alpha_keeps_its_promise(seed, alpha):
     rng = random.Random(seed)
     space = random_instance(rng)
-    metric = make_metric("dm", space, k=2)
+    metric = make_metric("dm", space)
     cons = build_constraints(space, k=2)
     exact = search(space, metric, cons)
     if exact.status == "infeasible":
@@ -134,9 +135,9 @@ def test_alpha_keeps_its_promise(seed, alpha):
 
 
 def test_priorities_agree(grid_space):
-    metric = make_metric("dm", grid_space, k=2)
+    metric = make_metric("dm", grid_space)
     costs = set()
-    for priority in ("lb", "cost", "lbcost"):
+    for priority in ("lb", "cost"):
         cons = build_constraints(grid_space, k=2)
         res = search(grid_space, metric, cons, SearchConfig(priority=priority))
         assert res.status == "optimal"
@@ -158,7 +159,7 @@ def test_early_exit_when_root_is_provably_best():
 
 def test_infeasible_when_k_exceeds_rows(grid_space):
     cons = build_constraints(grid_space, k=7)  # only 6 rows
-    res = search(grid_space, make_metric("dm", grid_space, k=7), cons)
+    res = search(grid_space, make_metric("dm", grid_space), cons)
     assert res.status == "infeasible"
     assert res.best_tree is None and res.ratio is None
     assert not res.certified
@@ -192,7 +193,7 @@ def test_monotone_assumption_changes_pruning_not_result():
 
 
 def test_deterministic_reruns(tax_space):
-    metric = make_metric("dm", tax_space, k=2)
+    metric = make_metric("dm", tax_space)
 
     def go():
         cons = build_constraints(tax_space, k=2)
@@ -220,7 +221,7 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
         space = random_instance(rng, total_splits=rng.randint(3, 6))
         if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
             break
-    metric = make_metric(name, space, k=2)
+    metric = make_metric(name, space)
     cons = build_constraints(space, k=2, l_div=rng.choice([None, 1.5]))
     searcher = _Searcher(space, metric, cons, SearchConfig())
     for _ in range(6):
@@ -243,20 +244,18 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
             assert cost == pytest.approx(ref.cost, rel=1e-12)
 
 
-def test_metric_k_above_constraint_floor_is_refused():
-    # the dm bound charges k per tuple of any smaller cell; with metric
-    # k=40 over blocks that may hold 5 rows it exceeded a feasible cost
-    # and certified a non-optimal partition as optimal
+def test_dm_size_floor_is_the_constraints_min_block_size():
+    # the dm bound charges the size floor per tuple of any smaller cell; a
+    # floor above the smallest block the constraints allow once exceeded a
+    # feasible cost and certified a non-optimal partition as optimal
     space = adult_space(3000, sample=(200, 1))
     cons = build_constraints(space, k=5)
-    loose = make_metric("dm", space, k=40)
-    feasible = mondrian_greedy(space, loose, cons)
+    metric = make_metric("dm", space)
+    feasible = mondrian_greedy(space, metric, cons)
     assert feasible.feasible
-    assert feasible.cost < theoretical_bound(loose, space)
-    with pytest.raises(ValueError, match="smallest block size"):
-        search(space, loose, cons)
-    res = search(space, make_metric("dm", space, k=5), cons,
-                 SearchConfig(node_limit=200))
+    assert theoretical_bound(metric, space, cons.min_block_size()) == \
+        5 * len(space.dataset)
+    res = search(space, metric, cons, SearchConfig(node_limit=200))
     assert res.lower_bound <= feasible.cost
 
 
@@ -288,7 +287,7 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
 
 
 def test_node_budget_reports_exhausted(grid_space):
-    metric = make_metric("dm", grid_space, k=1)
+    metric = make_metric("dm", grid_space)
     cons = build_constraints(grid_space, k=1)
     res = search(grid_space, metric, cons, SearchConfig(node_limit=3))
     assert res.status == "exhausted"
@@ -312,7 +311,7 @@ def test_time_budget_reports_exhausted(grid_space):
 def test_tiny_queue_stays_sound(seed):
     rng = random.Random(seed)
     space = random_instance(rng, total_splits=rng.randint(3, 5))
-    metric = make_metric("dm", space, k=2)
+    metric = make_metric("dm", space)
     cons = build_constraints(space, k=2)
     want = brute_best(space, metric, cons)
     res = search(space, metric, cons, SearchConfig(max_queue=2))
@@ -329,28 +328,27 @@ def test_tiny_queue_stays_sound(seed):
 
 
 def test_seed_must_be_feasible_and_canonical(grid_space):
-    metric = make_metric("dm", grid_space, k=2)
+    metric = make_metric("dm", grid_space)
     cons = build_constraints(grid_space, k=2)
     bad = grid_space.root_tree().apply_move(
         (), Move((grid_space.splits.by_id[3],)))
     bad = bad.apply_move((1,), Move((grid_space.splits.by_id[5],)))
     with pytest.raises(ValueError, match="not feasible"):
-        improve_from_seed(grid_space, metric, cons, bad)
+        search(grid_space, metric, cons, seed_tree=bad)
     # same partition, but grown in the non-canonical order
     cons2 = build_constraints(grid_space, k=1)
     noncanon = grid_space.root_tree().apply_move(
         (), Move((grid_space.splits.by_id[2],)))
     noncanon = noncanon.apply_move((0,), Move((grid_space.splits.by_id[1],)))
     with pytest.raises(ValueError, match="canonical"):
-        improve_from_seed(grid_space, make_metric("dm", grid_space), cons2,
-                          noncanon)
+        search(grid_space, make_metric("dm", grid_space), cons2,
+               seed_tree=noncanon)
 
 
-def test_improve_from_seed_never_worse(grid_space):
-    metric = make_metric("dm", grid_space, k=2)
+def test_seeded_search_never_worse(grid_space):
+    metric = make_metric("dm", grid_space)
     cons = build_constraints(grid_space, k=2)
     g = mondrian_greedy(grid_space, metric, cons)
-    res = improve_from_seed(grid_space, metric,
-                            build_constraints(grid_space, k=2), g.tree,
-                            SearchConfig(node_limit=1))
+    res = search(grid_space, metric, build_constraints(grid_space, k=2),
+                 SearchConfig(node_limit=1), seed_tree=g.tree)
     assert res.best_cost <= g.cost
