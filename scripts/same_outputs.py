@@ -2,17 +2,20 @@
 """Check that two checkouts write the same search outputs.
 
     python3 scripts/same_outputs.py BASE_CHECKOUT [--workload NAME ...]
-        [--seed N] [-- EXTRA_FLAGS ...]
+        [--seed N] [--flags "EXTRA_FLAGS" ...]
 
 Writes each perfbench workload's instance with `make_instance` from
 `perfbench/run.py` (data seed from `perfbench/manifest.json`, `--seed`
-shuffling the row order), then runs `search` on it twice, each time in a
-fresh process: once with BASE_CHECKOUT's `src/` and once with this
-checkout's. EXTRA_FLAGS are appended to the workload's flags, so they
-override them (`-- --metric vm --node-limit 3000`). It compares
-`result.json` without `stats.elapsed_sec`, `partition.json`, and
-`progress.csv` without its `elapsed_ms` column, prints one line per
-workload and exits 1 if any output differs or either run fails.
+shuffling the row order), then runs `search` on it twice per flag set,
+each time in a fresh process: once with BASE_CHECKOUT's `src/` and once
+with this checkout's. Each `--flags` value is one flag set, split like a
+shell command line and appended to the workload's flags, so it overrides
+them; `--flags ""` is the workload's flags alone, the only set when no
+`--flags` is given. Write `--flags=--improve` when the set is a single
+word starting with `-`. It compares `result.json` without
+`stats.elapsed_sec`, `partition.json`, and `progress.csv` without its
+`elapsed_ms` column, prints one line per workload and flag set and exits
+1 if any output differs or either run fails.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -62,11 +66,6 @@ def outputs(out) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    extra = []
-    if "--" in argv:
-        at = argv.index("--")
-        argv, extra = argv[:at], argv[at + 1:]
     with open(PERFBENCH / "manifest.json") as fh:
         manifest = json.load(fh)
     workloads = manifest["workloads"]
@@ -76,6 +75,9 @@ def main(argv=None) -> int:
                     help="workload to compare (default: all)")
     ap.add_argument("--seed", type=int, default=17,
                     help="shuffles the row order of the instance")
+    ap.add_argument("--flags", action="append", type=shlex.split,
+                    help="extra search flags, one set per use "
+                         "(default: none)")
     args = ap.parse_args(argv)
     if not (args.base / "src" / "anonsearch").is_dir():
         ap.error(f"{args.base} has no src/anonsearch")
@@ -90,26 +92,28 @@ def main(argv=None) -> int:
             spec = workloads[name]
             data, cfg = make_instance(spec, manifest["data"]["data_seed"],
                                       args.seed, tmp / name)
-            flags = [*spec["flags"], *extra]
-            got, errors = [], []
-            for side in ("base", "head"):
-                src = (args.base if side == "base" else ROOT) / "src"
-                out = tmp / name / side
-                error = solve(src, data, cfg, flags, out)
-                if error:
-                    errors.append(f"{side} {error}")
-                got.append(outputs(out))
-            if errors:
-                print(f"{name}: FAILED ({'; '.join(errors)})")
-                failed = True
-                continue
-            diff = sorted(k for k in got[0].keys() | got[1].keys()
-                          if got[0].get(k) != got[1].get(k))
-            if diff:
-                print(f"{name}: DIFFERENT ({', '.join(diff)})")
-                failed = True
-            else:
-                print(f"{name}: same ({', '.join(sorted(got[0]))})")
+            for n, extra in enumerate(args.flags or [[]]):
+                label = f"{name} [{shlex.join(extra)}]" if extra else name
+                flags = [*spec["flags"], *extra]
+                got, errors = [], []
+                for side in ("base", "head"):
+                    src = (args.base if side == "base" else ROOT) / "src"
+                    out = tmp / name / f"{side}{n}"
+                    error = solve(src, data, cfg, flags, out)
+                    if error:
+                        errors.append(f"{side} {error}")
+                    got.append(outputs(out))
+                if errors:
+                    print(f"{label}: FAILED ({'; '.join(errors)})")
+                    failed = True
+                    continue
+                diff = sorted(k for k in got[0].keys() | got[1].keys()
+                              if got[0].get(k) != got[1].get(k))
+                if diff:
+                    print(f"{label}: DIFFERENT ({', '.join(diff)})")
+                    failed = True
+                else:
+                    print(f"{label}: same ({', '.join(sorted(got[0]))})")
     return 1 if failed else 0
 
 

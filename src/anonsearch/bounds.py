@@ -21,10 +21,11 @@ place of leaf i and keeps the rest. A child's bound therefore follows
 from its parent's `frontier` without walking the child's tree, and so
 does its frozen prefix: `pre[i]`, the parent's frozen prefix plus the
 exact costs of frontier leaves 0..i-1, the very additions a walk of the
-child's leaves would make. `frontier` takes the frozen prefix from the
-caller and walks only the tail of the tree (`splittable_leaves`); the
-search carries it on each node and adds the same terms in the same
-order, so its bounds equal `lower_bound` of the child bit for bit.
+child's leaves would make. `frontier` takes the frontier leaves, found
+by a walk of only the tail of the tree (`splittable_leaves`), and the
+frozen prefix from the caller; the search carries it on each node and
+adds the same terms in the same order, so its bounds equal
+`lower_bound` of the child bit for bit.
 """
 
 from __future__ import annotations
@@ -60,26 +61,25 @@ class BoundContext:
         return total
 
 
-def frontier(tree, ctx: BoundContext, cost_of, frozen: float):
-    """The bound terms of `tree` from its frontier: `(leaves, pre, mins)`.
+def frontier(leaves, ctx: BoundContext, cost_of, frozen: float):
+    """The bound terms of a tree from its frontier: `(pre, mins)`.
 
-    `leaves` are the refinable leaves as `(path, leaf)` in pre-order (the
-    frontier), `mins[j]` is the finest-refinement cost of `leaves[j]`, and
-    `pre[j]` is the running pre-order sum of exact leaf costs up to, not
-    including, `leaves[j]`; `pre[-1]` is the exact cost of the whole tree.
-    The frontier is a pre-order suffix of the leaves, so the sum starts
-    at `frozen`, the exact cost of the leaves before it added in
-    pre-order, and only the frontier is walked.
+    `leaves` are the tree's refinable leaves in pre-order (the frontier,
+    from `splittable_leaves`), `mins[j]` is the finest-refinement cost of
+    `leaves[j]`, and `pre[j]` is the running pre-order sum of exact leaf
+    costs up to, not including, `leaves[j]`; `pre[-1]` is the exact cost
+    of the whole tree. The frontier is a pre-order suffix of the leaves,
+    so the sum starts at `frozen`, the exact cost of the leaves before it
+    added in pre-order.
     """
-    leaves = tree.splittable_leaves()
     pre, mins = [], []
     total = frozen
-    for _, node in leaves:
+    for _, node, _ in leaves:
         pre.append(total)
         mins.append(ctx.min_cost(node.block))
         total += cost_of(node.block)
     pre.append(total)
-    return leaves, pre, mins
+    return pre, mins
 
 
 def frozen_cost(tree, cost_of) -> float:
@@ -102,7 +102,8 @@ def lower_bound(tree, ctx: BoundContext, cost_of=None) -> float:
     """
     if cost_of is None:
         cost_of = ctx.metric.block_cost
-    _, pre, mins = frontier(tree, ctx, cost_of, frozen_cost(tree, cost_of))
+    pre, mins = frontier(tree.splittable_leaves(), ctx, cost_of,
+                         frozen_cost(tree, cost_of))
     total = pre[0]
     for m in mins:
         total += m

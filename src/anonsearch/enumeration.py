@@ -47,7 +47,7 @@ def multi_enumerate(space: Space):
 
     def rec(tree: PartitionTree):
         yield tree
-        for path, leaf in tree.splittable_leaves():
+        for path, leaf, _ in tree.splittable_leaves():
             for move in space.available_moves(leaf.block):
                 yield from rec(tree.apply_move(path, move))
 

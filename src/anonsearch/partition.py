@@ -13,6 +13,11 @@ Two rules make the enumeration duplicate free:
   subspace of some ancestor whose own split id is >= s.id; the partition
   containing that cut is reachable with the cut applied higher up.
 
+Full cuts are bit masks over split ids: every internal node keeps the
+set of splits that fully cut its subtree (`Internal.cuts`), built from
+its children's when the node is made, so the second rule is decided for
+all moves of a leaf in one walk up its ancestors (`legal_ids`).
+
 Numeric extents are (lo, hi) with tree-left meaning value <= cut.
 Categorical extents are half open leaf position ranges; tree-left is the
 side with the lower split ids, which is the geometric right part.
@@ -22,7 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .splits import Move, Split, SplitSet
 
@@ -55,24 +61,34 @@ class Block:
         return f"Block({self.extent}, n={self.count})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Leaf:
     block: Block
+    cuts = 0   # a leaf fully cuts nothing
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Internal:
+    """Nodes are never changed once made. They are not frozen because a
+    frozen dataclass sets each field through `object.__setattr__`, which
+    makes a node about twice as slow to build.
+
+    `cuts` has bit s set iff split s is a full cut of the subtree: its
+    plane crosses the node's extent and no leaf below straddles it. That
+    holds for the node's own split, for a split of the same attribute
+    that is a full cut of the child on its side of the plane, and for a
+    split of another attribute that is a full cut of both children.
+    """
     split: Split
     block: Block
     left: object   # tree-left: lower-id side
     right: object
+    cuts: int = field(init=False, repr=False, compare=False)
 
-
-def _descends_left(at: Split, plane) -> bool:
-    """Whether `plane` lies on the tree-left side of split `at` (same attr)."""
-    if at.numeric:
-        return plane < at.plane
-    return plane > at.plane
+    def __post_init__(self):
+        s, lc, rc = self.split, self.left.cuts, self.right.cuts
+        self.cuts = (1 << s.id | lc & s.keep_left | rc & s.keep_right
+                     | lc & rc & s.other_attrs)
 
 
 class Space:
@@ -102,15 +118,17 @@ class Space:
                       in zip(planes, extent)]
         self._slot_of_plane = {s.id: planes[s.qi_pos].index(s.plane)
                                for s in splits.splits}
+        rows = dataset.rows
         slots = []
         for a, attr, cuts in zip(self.qi, self.qi_schema, planes):
-            col = [r[a] for r in dataset.rows]
+            values = set(map(itemgetter(a), rows))
             if attr.is_numeric:
-                memo = {v: bisect_left(cuts, v) for v in set(col)}
+                memo = {v: bisect_left(cuts, v) for v in values}
             else:
                 pos = attr.taxonomy.leaf_position
-                memo = {v: bisect_right(cuts, pos(v)) for v in set(col)}
-            slots.append(map(memo.__getitem__, col))
+                memo = {v: bisect_right(cuts, pos(v)) for v in values}
+            # streamed: no column of the table is held
+            slots.append(map(memo.__getitem__, map(itemgetter(a), rows)))
         keys = zip(*slots) if slots else [()] * len(dataset.rows)
         index: dict = {}    # slot tuple -> cell number
         self.cell_of = [index.setdefault(key, len(index)) for key in keys]
@@ -219,7 +237,7 @@ class Space:
             if attr.is_numeric:
                 for s in self.splits.by_attr.get(attr_idx, ()):
                     if lo < s.plane < hi:
-                        moves.append(Move((s,)))
+                        moves.append(self.splits.numeric_moves[s.id])
             else:
                 exp = self.splits.expansions.get((attr_idx, (lo, hi)))
                 if exp is not None:
@@ -259,7 +277,8 @@ class PartitionTree:
         return [n.block for _, n in self.pre_order() if isinstance(n, Leaf)]
 
     def splittable_leaves(self):
-        """Leaves that may still be split, as `(path, leaf)` in pre-order.
+        """Leaves that may still be split, as `(path, leaf, ancestry)` in
+        pre-order.
 
         A leaf freezes once a later move lands after it in pre-order, so
         the splittable leaves are those after the head of the most recent
@@ -272,26 +291,37 @@ class PartitionTree:
         after the head's subtree. The first sentinel to pop belongs to
         the last head in pre-order, so the walk stops there, having
         visited only the leaves after it and their ancestors.
+
+        A leaf's `ancestry` is what `legal_ids` needs of its ancestors,
+        nearest first, as nested `(free, keep, next)` ending in None.
+        `free` has the splits of attributes other than the ancestor's
+        that are no full cut of its child off the leaf's path; `keep`
+        has the ids above the ancestor's split id if it is a head, and
+        every id (-1) if it is a continuation node.
         """
         leaves = []
-        stack = [None, ((), self.root)]
+        stack = [None, ((), self.root, None, True)]
         while True:
             entry = stack.pop()
             if entry is None:
                 break
-            path, node = entry
+            path, node, up, head = entry
             if isinstance(node, Leaf):
-                leaves.append(entry)
+                leaves.append((path, node, up))
                 continue
             s, left, right = node.split, node.left, node.right
+            keep = -(2 << s.id) if head else -1
             if isinstance(left, Internal):
                 stack.append(None)
-            stack.append((path + (0,), left))
-            if isinstance(right, Internal) and (
-                    s.numeric or right.split.numeric
-                    or right.split.set_id != s.set_id):
+            stack.append((path + (0,), left,
+                          (s.other_attrs & ~right.cuts, keep, up), True))
+            head = not (isinstance(right, Internal) and not s.numeric
+                        and not right.split.numeric
+                        and right.split.set_id == s.set_id)
+            if head and isinstance(right, Internal):
                 stack.append(None)
-            stack.append((path + (1,), right))
+            stack.append((path + (1,), right,
+                          (s.other_attrs & ~left.cuts, keep, up), head))
         leaves.reverse()
         return leaves
 
@@ -326,94 +356,64 @@ class PartitionTree:
         return PartitionTree(self.space, self._replaced(self.root, path, sub))
 
 
-# ---- cut detection and move legality ----
+# ---- move legality ----
 
-def is_cut(node, s: Split, pending=None) -> bool:
-    """Whether split s is a full cut of the subtree rooted at `node`.
+def legal_ids(ancestry, ids) -> int:
+    """Ancestor-id rule for all candidate moves of one splittable leaf at
+    once: the bits of the ids of the legal ones. `ancestry` is the leaf's
+    from `splittable_leaves()`; `ids` has the bits of the
+    candidates' ids (`Move.bits`).
 
-    `pending` marks a leaf about to be split by s; descents reaching it
-    count as cut, which evaluates the tree as if s were already added.
+    A move is redundant iff at some move head above the leaf whose id is
+    not below the move's, every split of the move fully cuts the head's
+    subtree, the leaf counted as cut. Continuation nodes are no heads: a
+    categorical expansion laid out as a chain is one subspace.
+
+    The leaf straddles every split s of a move, so s passes strictly
+    through each ancestor's extent. An ancestor's subtree is the path
+    child's subtree plus its other child's, so s stays a full cut going
+    up exactly while the other child is fully cut by s too, or the
+    ancestor splits s's attribute (the other child then lies beyond the
+    plane). One walk up the ancestry therefore decides every move: at each
+    ancestor the undecided moves with a split in `free` are legal, since
+    a split that is no full cut at some depth is none higher up; then at
+    a head the undecided ids not above its id are redundant. A move
+    still undecided at the root is legal.
+
+    A move's first split stands for all of its splits. A sibling set is
+    only ever applied whole and to its owner's exact range, so along a
+    categorical attribute every node of a tree grown by moves spans a
+    taxonomy node's range, but for a chain's continuation nodes, and a
+    subtree whose root spans one is cut by all or none of a set's
+    boundaries. `free` reads a set's bits only at an ancestor splitting
+    another attribute, whose children are no continuation nodes of the
+    set's.
     """
-    if isinstance(node, Leaf):
-        return node is pending
-    t = node.split
-    if t.attr == s.attr:
-        if t.plane == s.plane:
-            return True
-        child = node.left if _descends_left(t, s.plane) else node.right
-        return is_cut(child, s, pending)
-    return is_cut(node.left, s, pending) and is_cut(node.right, s, pending)
-
-
-def _ancestors(tree: PartitionTree, path) -> list:
-    """The nodes along `path`: entry d is `tree.node_at(path[:d])`."""
-    node = tree.root
-    chain = [node]
-    for step in path:
-        node = node.right if step else node.left
-        chain.append(node)
-    return chain
-
-
-def _constraint2_ok(chain, path, move: Move) -> bool:
-    """Ancestor-id rule. A move is redundant iff every one of its splits
-    fully cuts the subspace of some ancestor move whose id is not larger.
-    `chain` is `_ancestors(tree, path)`.
-
-    Only move heads are inspected: a continuation node (tree-right child
-    cutting the same sibling set as its parent) is an artifact of laying
-    a categorical expansion out as a chain, not a real subspace. The walk
-    stops at the first non-cut head since cuts only get harder higher up.
-
-    The pending leaf straddles every split s of the move, so s passes
-    strictly through each ancestor's extent, and `is_cut(anc, s, pending)`
-    holds exactly when no leaf under `anc` other than the pending one
-    straddles s. An ancestor's subtree is the path child's subtree plus
-    its other child's, so one walk up the chain tests only the other
-    child at each depth: that child lies on the far side of the plane
-    when the ancestor splits s's attribute, and otherwise shares the
-    ancestor's extent along it. A split that fails there fails at every
-    shallower head too, so the move is legal at once.
-    """
-    for depth in range(len(path) - 1, -1, -1):
-        anc = chain[depth]
-        t = anc.split
-        other = anc.left if path[depth] else anc.right
-        for s in move.splits:
-            if t.attr != s.attr and not is_cut(other, s):
-                return True
-        if depth > 0 and path[depth - 1] == 1:
-            ps = chain[depth - 1].split
-            if not ps.numeric and not t.numeric and ps.set_id == t.set_id:
-                continue
-        if move.id <= t.id:
-            return False
-    return True
+    legal = 0
+    while ancestry is not None and ids:
+        free, keep, ancestry = ancestry
+        legal |= ids & free
+        ids &= ~free & keep
+    return legal | ids
 
 
 def detect_legal_move(tree: PartitionTree, path, move: Move) -> bool:
     """Check that growing `path` by `move` keeps the tree reachable in the
     duplicate-free order."""
-    if not any(path == lp for lp, _ in tree.splittable_leaves()):
-        return False
-    return _constraint2_ok(_ancestors(tree, path), path, move)
+    for at, _, ancestry in tree.splittable_leaves():
+        if at == path:
+            return legal_ids(ancestry, move.bits) != 0
+    return False
 
 
-def legal_moves(tree: PartitionTree, leaves=None):
-    """All (path, move) pairs producing a distinct-partition child.
-
-    `leaves` may pass in `tree.splittable_leaves()` when the caller has
-    already computed it. Each leaf's ancestor chain is walked once and
-    shared by all of its moves.
-    """
-    if leaves is None:
-        leaves = tree.splittable_leaves()
+def legal_moves(tree: PartitionTree):
+    """All (path, move) pairs producing a distinct-partition child: the
+    splittable leaves in pre-order, each leaf's moves in id order."""
     out = []
-    for path, leaf in leaves:
-        chain = _ancestors(tree, path)
-        for move in tree.space.available_moves(leaf.block):
-            if _constraint2_ok(chain, path, move):
-                out.append((path, move))
+    for path, leaf, ancestry in tree.splittable_leaves():
+        moves = tree.space.available_moves(leaf.block)
+        legal = legal_ids(ancestry, sum(m.bits for m in moves))
+        out.extend((path, m) for m in moves if legal & m.bits)
     return out
 
 

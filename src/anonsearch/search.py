@@ -38,15 +38,21 @@ queued child holds its parent's tree, path and move, and its own tree
 is grown only when it is expanded, since many queued nodes are pruned
 or dropped unexpanded.
 
-The same block meets the same move in many nodes, so a child's terms
-are memoized per (block extent, move id) the first time a legal move
-needs them: the exact cost and the floor of each new block, in
-`move_blocks` order, and the change in flag counts. Scoring a child is
-then one lookup plus float additions: the parent's cost less the old
-block's, plus each new block's cost; `pre[i]`, plus each new floor,
-plus `mins[j]` for j > i. The stored terms are the very floats a
-block-by-block sum would add, in the same order, so costs and bounds
-stay bit-identical for every metric, vm included.
+The legal children come from one pass over the frontier leaves. The same
+walk that finds them hands out each leaf's ancestry, the cut masks of
+its ancestors' other children, and `partition.legal_ids` decides all of
+a leaf's moves in one walk up it. The same block meets the same move in
+many nodes, so a child's terms are memoized in a table per block extent,
+one slot per available move, the first time a legal move needs them: the
+change in flag counts and, unless the move adds a monotone failure, the
+exact cost and the floor of each new block, in `move_blocks` order. A
+child that fails a monotone constraint is counted where it is reached
+and never scored. Scoring a child is one lookup plus float additions:
+the parent's cost less the old block's, plus each new block's cost;
+`pre[i]`, plus each new floor, plus `mins[j]` for j > i. The stored
+terms are the very floats a block-by-block sum would add, in the same
+order, so costs and bounds stay bit-identical for every metric, vm
+included.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ from dataclasses import dataclass, field
 from .bounds import BoundContext, frontier, frozen_cost, lower_bound
 from .constraints import ConstraintSet
 from .metrics import Metric, theoretical_bound
-from .partition import PartitionTree, Space, is_legal, legal_moves, normalize
+# `legal_moves` is not called here; perfbench/spans.py wraps it by name
+from .partition import (PartitionTree, Space, is_legal, legal_ids,
+                        legal_moves, normalize)
 
 INF = math.inf
 
@@ -137,7 +145,11 @@ class _Node:
     fail_any: int     # blocks violating any constraint
     fail_mono: int    # blocks violating a monotone constraint
     frozen: float     # exact cost of the leaves before the frontier
-    grow: tuple | None = None    # (parent tree, path, move) if no tree
+    # a queued child's tree is grown on expansion: parent.apply_move(path,
+    # move); parent is None once the tree exists
+    parent: PartitionTree | None = None
+    path: tuple = ()
+    move: object = None
 
 
 class _Searcher:
@@ -151,7 +163,8 @@ class _Searcher:
         self.theory = theoretical_bound(metric, space,
                                         constraints.min_block_size())
         self._costs: dict = {}
-        self._terms: dict = {}   # (extent, move id) -> child's terms
+        # extent -> (moves, their id bits, each move's child terms or None)
+        self._tables: dict = {}
         self.stats = SearchStats()
         self.progress: list = []
         self.best: float = INF
@@ -186,55 +199,78 @@ class _Searcher:
         """`(costs, floors, d_any, d_mono)` of applying `move` to `block`:
         exact cost and finest-refinement cost of each new block in
         `move_blocks` order, and the new blocks' flag counts minus the old
-        block's. Memoized per (extent, move id)."""
-        key = (block.extent, move.id)
-        terms = self._terms.get(key)
-        if terms is None:
-            new = self.space.move_blocks(block, move)
-            flags = [self.cons.block_flags(nb) for nb in new]
-            old_any, old_mono = self.cons.block_flags(block)
-            terms = (tuple(map(self.cost_of, new)),
-                     tuple(map(self.bctx.min_cost, new)),
-                     sum(a for a, _ in flags) - old_any,
-                     sum(m for _, m in flags) - old_mono)
-            self._terms[key] = terms
-        return terms
+        block's. A move that adds a monotone failure (`d_mono > 0`) makes
+        every child it grows infeasible, so its costs and floors are
+        None."""
+        new = self.space.move_blocks(block, move)
+        flags = [self.cons.block_flags(nb) for nb in new]
+        old_any, old_mono = self.cons.block_flags(block)
+        d_any = sum(a for a, _ in flags) - old_any
+        d_mono = sum(m for _, m in flags) - old_mono
+        if d_mono > 0:
+            return None, None, d_any, d_mono
+        return (tuple(map(self.cost_of, new)),
+                tuple(map(self.bctx.min_cost, new)), d_any, d_mono)
 
-    def _children(self, node: _Node):
-        """Score every legal child of `node` without building its tree.
+    def _children(self, node: _Node, count_pruned: bool):
+        """Score the legal children of `node` without building their trees.
 
-        Yields `(path, move, cost, lb, fail_any, fail_mono, frozen)` in
-        the order of `legal_moves(node.tree)`. Per frontier leaf the
-        parent's cost less the leaf's is taken once; per child the
-        memoized terms of `_move_terms` are added to it, and the bound is
-        summed as the module docstring describes. `frozen` is the child's
-        frozen prefix, `pre[i]`.
+        Yields `(path, move, cost, lb, fail_any, frozen)` for each child
+        with no block failing a monotone constraint, in the order of
+        `legal_moves(node.tree)`. Each other legal child is counted into
+        `stats.generated`, and into `stats.pruned_infeasible` if
+        `count_pruned`, at the point it is reached, so a probe that the
+        consumer runs between two children reads the same count as if
+        the consumer had counted every child itself.
+
+        Per frontier leaf one `legal_ids` walk decides all its moves, and
+        the parent's cost less the leaf's is taken once; per child the
+        memoized terms of `_move_terms` (one table per leaf extent) are
+        added to it, and the bound is summed as the module docstring
+        describes. `frozen` is the child's frozen prefix, `pre[i]`.
         """
         if node.tree is None:   # a queued child: grow its tree now
-            parent, path, move = node.grow
-            node.tree = parent.apply_move(path, move)
-        leaves, pre, mins = frontier(node.tree, self.bctx, self.cost_of,
-                                     node.frozen)
-        index = {path: i for i, (path, _) in enumerate(leaves)}
-        last = None
-        for path, move in legal_moves(node.tree, leaves):
-            if path != last:
-                last = path
-                i = index[path]
-                old = leaves[i][1].block
-                base = node.cost - self.cost_of(old)
-                rest = mins[i + 1:]
-            costs, floors, d_any, d_mono = self._move_terms(old, move)
-            cost = base
-            for c in costs:
-                cost += c
-            lb = pre[i]
-            for floor in floors:
-                lb += floor
-            for floor in rest:
-                lb += floor
-            yield (path, move, cost, lb, node.fail_any + d_any,
-                   node.fail_mono + d_mono, pre[i])
+            node.tree = node.parent.apply_move(node.path, node.move)
+            node.parent = None
+        leaves = node.tree.splittable_leaves()
+        pre, mins = frontier(leaves, self.bctx, self.cost_of, node.frozen)
+        stats = self.stats
+        fail_any, fail_mono = node.fail_any, node.fail_mono
+        for i, (path, leaf, ancestry) in enumerate(leaves):
+            old = leaf.block
+            table = self._tables.get(old.extent)
+            if table is None:
+                moves = self.space.available_moves(old)
+                table = (moves, sum(m.bits for m in moves),
+                         [None] * len(moves))
+                self._tables[old.extent] = table
+            moves, ids, slots = table
+            legal = legal_ids(ancestry, ids)
+            base = None
+            for j, move in enumerate(moves):
+                if not legal & move.bits:
+                    continue
+                terms = slots[j]
+                if terms is None:
+                    terms = slots[j] = self._move_terms(old, move)
+                costs, floors, d_any, d_mono = terms
+                if fail_mono + d_mono:
+                    stats.generated += 1
+                    if count_pruned:
+                        stats.pruned_infeasible += 1
+                    continue
+                if base is None:
+                    base = node.cost - self.cost_of(old)
+                    rest = mins[i + 1:]
+                cost = base
+                for c in costs:
+                    cost += c
+                lb = pre[i]
+                for floor in floors:
+                    lb += floor
+                for floor in rest:
+                    lb += floor
+                yield (path, move, cost, lb, fail_any + d_any, pre[i])
 
     def _key(self, node: _Node):
         if self.cfg.priority == "cost":
@@ -318,10 +354,8 @@ class _Searcher:
         cur = node
         while not self._out_of_budget():
             best = None   # (cost, path, move, lb, frozen, tree or None)
-            for path, move, cost, lb, fa, fm, frozen in self._children(cur):
+            for path, move, cost, lb, fa, frozen in self._children(cur, False):
                 self.stats.generated += 1
-                if fm:
-                    continue
                 tree = self._offer(cur.tree, path, move, cost, fa)
                 if fa == 0 and (best is None or cost < best[0]):
                     best = (cost, path, move, lb, frozen, tree)
@@ -398,15 +432,13 @@ class _Searcher:
                 self.frontier_min = min(self.frontier_min, node.lb)
                 continue
             self.stats.expanded += 1
-            for path, move, cost, lb, fa, fm, frozen in self._children(node):
+            for path, move, cost, lb, fa, frozen in self._children(node, True):
                 self.stats.generated += 1
-                if fm:
-                    self.stats.pruned_infeasible += 1
-                    continue
                 tree = self._offer(node.tree, path, move, cost, fa)
                 if cfg.alpha * lb < self.best:
-                    grow = (node.tree, path, move) if tree is None else None
-                    self._push(_Node(tree, cost, lb, fa, fm, frozen, grow))
+                    parent = node.tree if tree is None else None
+                    self._push(_Node(tree, cost, lb, fa, 0, frozen, parent,
+                                     path, move))
                 else:
                     self.stats.pruned_bound += 1
                     self.frontier_min = min(self.frontier_min, lb)

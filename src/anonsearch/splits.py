@@ -13,13 +13,18 @@ is the geometric right part.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from .dataset import NUMERIC, ConfigError
+from .dataset import ConfigError
 
 
 @dataclass(frozen=True, slots=True)
 class Split:
+    """One cut plane. The masks are sets of splits as bits (split id i is
+    bit i), filled in by the `SplitSet`; they define a node's cut mask
+    (`partition.Internal`). Another split of the same attribute is on
+    the tree-left side when its plane is below this one's for a numeric
+    split and above it for a categorical one."""
     id: int
     attr: int           # schema index
     qi_pos: int         # position inside block extents
@@ -27,6 +32,11 @@ class Split:
     numeric: bool
     set_id: int = -1    # sibling set id, -1 for numeric splits
     owner: str = ""     # label of the taxonomy node the set belongs to
+    # the other splits of the same attribute on the tree-left side, on
+    # the tree-right side, and every split of another attribute
+    keep_left: int = field(default=0, compare=False)
+    keep_right: int = field(default=0, compare=False)
+    other_attrs: int = field(default=0, compare=False)
 
     def __repr__(self):
         kind = "num" if self.numeric else f"cat:{self.owner}"
@@ -38,13 +48,17 @@ class Move:
     """One refinement action: a numeric split or a whole sibling set.
 
     A sibling set is applied atomically, lowest id first, so a single move
-    replaces one block by all children of the owning taxonomy node.
+    replaces one block by all children of the owning taxonomy node. `id`
+    is its first split's id and `bits` is `1 << id`, the move's bit in
+    the id masks of `partition.legal_ids`.
     """
     splits: tuple
+    id: int = field(init=False, compare=False)
+    bits: int = field(init=False, compare=False)
 
-    @property
-    def id(self) -> int:
-        return self.splits[0].id
+    def __post_init__(self):
+        object.__setattr__(self, "id", self.splits[0].id)
+        object.__setattr__(self, "bits", 1 << self.id)
 
     @property
     def qi_pos(self) -> int:
@@ -57,15 +71,18 @@ class SplitSet:
     def __init__(self, schema, splits):
         self.schema = tuple(schema)
         self.qi = [i for i, a in enumerate(schema) if a.role == "qi"]
-        self.splits = tuple(splits)
-        for expect, s in enumerate(self.splits, start=1):
+        for expect, s in enumerate(splits, start=1):
             if s.id != expect:
                 raise ConfigError("split ids must be consecutive from 1")
+        self.splits = tuple(_with_masks(splits))
         self.by_id = {s.id: s for s in self.splits}
         self.by_attr: dict[int, tuple] = {}
         for s in self.splits:
             self.by_attr.setdefault(s.attr, ())
             self.by_attr[s.attr] += (s,)
+        # one move per numeric split, shared by every block it cuts
+        self.numeric_moves = {s.id: Move((s,)) for s in self.splits
+                              if s.numeric}
         # sibling sets in id order; expansion moves keyed by covered range
         sets: dict[int, tuple] = {}
         for s in self.splits:
@@ -85,6 +102,24 @@ class SplitSet:
     def planes(self, attr) -> list:
         """The split planes of one attribute, sorted."""
         return sorted(s.plane for s in self.by_attr.get(attr, ()))
+
+
+def _with_masks(splits):
+    """The splits with their masks filled in."""
+    out = []
+    for t in splits:
+        left = right = other = 0
+        for s in splits:
+            if s.attr != t.attr:
+                other |= 1 << s.id
+            elif s is not t:
+                if (s.plane < t.plane) == t.numeric:
+                    left |= 1 << s.id
+                else:
+                    right |= 1 << s.id
+        out.append(replace(t, keep_left=left, keep_right=right,
+                           other_attrs=other))
+    return out
 
 
 def _numeric_cuts(attr, spec, values):

@@ -208,6 +208,27 @@ def reference_apply_split(columns, block: RowBlock, s):
     return left, right
 
 
+def is_cut(node, s, pending=None) -> bool:
+    """Whether split s is a full cut of the subtree rooted at `node`, by
+    recursion over the tree: the reference for the cut masks.
+
+    `pending` marks a leaf about to be split by s; descents reaching it
+    count as cut, which evaluates the tree as if s were already added.
+    """
+    if isinstance(node, Leaf):
+        return node is pending
+    t = node.split
+    if t.attr == s.attr:
+        if t.plane == s.plane:
+            return True
+        below = s.plane < t.plane
+        # tree-left is the lower-id side: below a numeric plane, above a
+        # categorical one
+        child = node.left if below == t.numeric else node.right
+        return is_cut(child, s, pending)
+    return is_cut(node.left, s, pending) and is_cut(node.right, s, pending)
+
+
 def geometric_is_cut(node, s, pending=None) -> bool:
     """Plane-geometry definition of a full cut: the plane passes strictly
     through the node's extent but through no settled leaf's extent."""

@@ -46,7 +46,7 @@ def test_worked_example_cost_and_bound():
     assert metric.cost(tree.leaf_blocks()) == 41
     # four frozen pair-blocks pay 4 each; the two refinable blocks pay
     # their finest-grid floors 6 and 11
-    assert [p for p, _ in tree.splittable_leaves()] == [(1, 1, 0), (1, 1, 1)]
+    assert [p for p, *_ in tree.splittable_leaves()] == [(1, 1, 0), (1, 1, 1)]
     assert lower_bound(tree, ctx) == 33
 
 

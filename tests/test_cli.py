@@ -385,9 +385,13 @@ def test_compare_script_smoke(tmp_path):
 
 def test_same_outputs_script_smoke():
     script = ROOT / "scripts" / "same_outputs.py"
+    # one line per flag set, the empty set being the workload's own flags
     proc = subprocess.run(
-        [sys.executable, str(script), str(ROOT), "--workload", "taxo3k-exact"],
+        [sys.executable, str(script), str(ROOT), "--workload", "taxo3k-exact",
+         "--flags", "", "--flags", "--metric vm --node-limit 300"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip() == (
-        "taxo3k-exact: same (partition.json, progress.csv, result.json)")
+    assert proc.stdout.splitlines() == [
+        "taxo3k-exact: same (partition.json, progress.csv, result.json)",
+        "taxo3k-exact [--metric vm --node-limit 300]: "
+        "same (partition.json, progress.csv, result.json)"]

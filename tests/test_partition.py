@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsearch.enumeration import enumerate_trees
-from anonsearch.partition import (Block, Internal, Leaf, Space,
-                                  detect_legal_move, is_cut, is_legal,
-                                  legal_moves, normalize, parent_child_switch)
+from anonsearch.partition import (Block, Internal, Leaf, PartitionTree, Space,
+                                  detect_legal_move, is_legal, legal_moves,
+                                  normalize, parent_child_switch)
 from anonsearch.splits import Move
 
-from conftest import (block_rows, build_space, geometric_is_cut,
+from conftest import (block_rows, build_space, geometric_is_cut, is_cut,
                       random_instance, random_loose_tree, random_tree,
                       rebuild_canonical, reference_legal_move,
                       reference_splittable_leaves)
@@ -98,9 +98,9 @@ def test_apply_move_timestamps_preorder(grid_space):
     t = t.apply_move((), mv(grid_space, 2))
     t = t.apply_move((0,), mv(grid_space, 4))
     # only leaves after the last internal node in pre-order may split
-    assert [p for p, _ in t.splittable_leaves()] == [(0, 0), (0, 1), (1,)]
+    assert [p for p, *_ in t.splittable_leaves()] == [(0, 0), (0, 1), (1,)]
     t = t.apply_move((1,), mv(grid_space, 3))
-    assert [p for p, _ in t.splittable_leaves()] == [(1, 0), (1, 1)]
+    assert [p for p, *_ in t.splittable_leaves()] == [(1, 0), (1, 1)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -110,15 +110,12 @@ def test_splittable_leaves_matches_forward_walk(seed):
     # reference walks the whole tree forward with a marker. Loose trees
     # put heads and categorical chains in non-canonical places.
     rng = random.Random(seed)
-    while True:   # draw until a taxonomy expansion is a chain of cuts
-        space = random_instance(rng, total_splits=rng.randint(3, 6))
-        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
-            break
+    space = chain_instance(rng)
     for grow in (random_tree, random_loose_tree):
         for _ in range(4):
             tree = grow(space, rng, max_moves=8)
-            assert tree.splittable_leaves() == \
-                reference_splittable_leaves(tree)
+            assert [(p, leaf) for p, leaf, _ in tree.splittable_leaves()] \
+                == reference_splittable_leaves(tree)
 
 
 # ---- full-cut detection ----
@@ -137,16 +134,75 @@ def test_is_cut_matches_geometry(seed):
             geometric_is_cut(tree.root, s, pending)
 
 
+def chain_instance(rng):
+    """A random instance with a taxonomy expansion of several cuts."""
+    while True:
+        space = random_instance(rng, total_splits=rng.randint(3, 6))
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            return space
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_cut_masks_match_geometry(seed):
+    # every node's cut mask, built bottom-up from its children's, against
+    # the plane-geometry definition, on trees from every way of building
+    # one, where a sibling set's splits cut all or none; then the pending
+    # form: growing a leaf sets bit s of each ancestor iff s fully cuts
+    # the old ancestor with the leaf pending
+    rng = random.Random(seed)
+    space = chain_instance(rng)
+    canonical = random_tree(space, rng, max_moves=8)
+    loose = random_loose_tree(space, rng, max_moves=8)
+    grown = [canonical, loose, normalize(loose), space.root_tree(),
+             PartitionTree(space, rebuild_canonical(space,
+                                                    loose.leaf_blocks()))]
+    trees = list(grown)
+    for tree in (canonical, loose):
+        for path, node in tree.pre_order():
+            for child in (None, "left", "right"):
+                try:
+                    trees.append(parent_child_switch(tree, path, child))
+                except ValueError:
+                    pass
+    for tree in trees:
+        for _, node in tree.pre_order():
+            for s in space.splits.splits:
+                assert (node.cuts >> s.id & 1) == geometric_is_cut(node, s)
+    # legal_ids tests a sibling set by its first split: in a tree grown
+    # by moves, every node but a chain's continuation nodes is cut by
+    # all or none of one set's splits
+    sets = [sum(1 << s.id for s in m.splits)
+            for m in space.splits.expansions.values()]
+    for tree in grown:
+        for path, node in tree.pre_order():
+            if path and path[-1] == 1 and isinstance(node, Internal):
+                up = tree.node_at(path[:-1]).split
+                if not up.numeric and up.set_id == node.split.set_id:
+                    continue
+            for bits in sets:
+                assert node.cuts & bits in (0, bits)
+    for tree in (canonical, loose):
+        for path, leaf in tree.pre_order():
+            if not isinstance(leaf, Leaf):
+                continue
+            for move in space.available_moves(leaf.block):
+                child = tree.apply_move(path, move)
+                for depth in range(len(path) + 1):
+                    old = tree.node_at(path[:depth])
+                    new = child.node_at(path[:depth])
+                    for s in move.splits:
+                        assert (new.cuts >> s.id & 1) == \
+                            geometric_is_cut(old, s, leaf)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_detect_legal_move_matches_head_by_head_reference(seed):
-    # the one-pass check tests only each ancestor's other child; the
-    # reference re-tests every head's whole subtree geometrically
+    # the mask walk reads only each ancestor's other child; the reference
+    # re-tests every head's whole subtree geometrically
     rng = random.Random(seed)
-    while True:   # draw until a taxonomy expansion is a chain of cuts
-        space = random_instance(rng, total_splits=rng.randint(3, 6))
-        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
-            break
+    space = chain_instance(rng)
     for _ in range(4):
         tree = random_tree(space, rng, max_moves=8)
         for path, node in tree.pre_order():

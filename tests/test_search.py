@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 import sys
@@ -18,9 +17,6 @@ from anonsearch.search import (SearchConfig, SearchConfigError, _Searcher,
 from anonsearch.splits import Move, generate_splits
 
 from conftest import brute_best, build_space, random_instance, random_tree
-
-# the package re-exports a function named `search`; fetch the module
-search_mod = importlib.import_module("anonsearch.search")
 
 
 def adult_space(n_rows, sample=None, splits=None):
@@ -216,6 +212,8 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
     # bound must be the very float lower_bound gives on the child's tree.
     # The vm examples are instances where adding the frontier suffix in
     # another order (e.g. a precomputed suffix sum) changes the last ulp.
+    # Every legal move is yielded, in legal_moves order, or counted
+    # unscored because the child fails a monotone constraint.
     rng = random.Random(seed)
     while True:   # draw until a taxonomy expansion is a chain of cuts
         space = random_instance(rng, total_splits=rng.randint(3, 6))
@@ -224,12 +222,24 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
     metric = make_metric(name, space)
     cons = build_constraints(space, k=2, l_div=rng.choice([None, 1.5]))
     searcher = _Searcher(space, metric, cons, SearchConfig())
-    for _ in range(6):
+    stats = searcher.stats
+    for i in range(6):
         tree = random_tree(space, rng)
-        kids = list(searcher._children(searcher._evaluate(tree)))
-        assert [(p, m) for p, m, *_ in kids] == legal_moves(tree)
-        for path, move, cost, lb, fa, fm, frozen in kids:
+        count_pruned = i % 2 == 0
+        generated, pruned = stats.generated, stats.pruned_infeasible
+        kids = iter(list(searcher._children(searcher._evaluate(tree),
+                                            count_pruned)))
+        kid = next(kids, None)
+        skipped = 0
+        for path, move in legal_moves(tree):
             child = tree.apply_move(path, move)
+            ref = searcher._evaluate(child)
+            if kid is None or kid[:2] != (path, move):
+                assert ref.fail_mono > 0
+                skipped += 1
+                continue
+            _, _, cost, lb, fa, frozen = kid
+            kid = next(kids, None)
             want = lower_bound(child, searcher.bctx, searcher.cost_of)
             assert lb == want and type(lb) is type(want)
             # the carried prefix is the pre-order sum of the child's
@@ -239,9 +249,12 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
             for b in blocks[:len(blocks) - len(child.splittable_leaves())]:
                 prefix += searcher.cost_of(b)
             assert frozen == prefix and type(frozen) is float
-            ref = searcher._evaluate(child)
-            assert (fa, fm) == (ref.fail_any, ref.fail_mono)
+            assert (fa, 0) == (ref.fail_any, ref.fail_mono)
             assert cost == pytest.approx(ref.cost, rel=1e-12)
+        assert kid is None
+        assert stats.generated - generated == skipped
+        assert stats.pruned_infeasible - pruned == \
+            (skipped if count_pruned else 0)
 
 
 def test_dm_size_floor_is_the_constraints_min_block_size():
@@ -259,22 +272,30 @@ def test_dm_size_floor_is_the_constraints_min_block_size():
     assert res.lower_bound <= feasible.cost
 
 
-def test_node_limit_holds_inside_probe_dives(monkeypatch):
-    # a small queue forces probes; their dives must stop at the budget
-    # like the main loop, so the overshoot stays within one expansion
-    space = adult_space(600, splits={
+def probe_space():
+    """A 600-row census-style instance with a coarse grid, on which a
+    small queue makes probes dive inside expansions."""
+    return adult_space(600, splits={
         "age": {"type": "equi_width", "count": 2},
         "education_num": {"type": "equi_width", "count": 1},
         "hours_per_week": {"type": "equi_width", "count": 1},
         "workclass": {"type": "taxonomy"}})
+
+
+def test_node_limit_holds_inside_probe_dives(monkeypatch):
+    # a small queue forces probes; their dives must stop at the budget
+    # like the main loop, so the overshoot stays within one expansion
+    space = probe_space()
     fanout = [0]
+    children = _Searcher._children
 
-    def counted(tree, leaves=None):
-        moves = legal_moves(tree, leaves)
-        fanout[0] = max(fanout[0], len(moves))
-        return moves
+    def counted(self, node, count_pruned):
+        # every legal move of the node is generated, scored or not
+        tree = node.tree or node.parent.apply_move(node.path, node.move)
+        fanout[0] = max(fanout[0], len(legal_moves(tree)))
+        return children(self, node, count_pruned)
 
-    monkeypatch.setattr(search_mod, "legal_moves", counted)
+    monkeypatch.setattr(_Searcher, "_children", counted)
     probed = False
     for limit in range(50, 2000, 37):
         res = search(space, make_metric("cm", space),
@@ -284,6 +305,38 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
         assert res.stats.generated <= limit + fanout[0]
         probed |= res.stats.probes > 0
     assert probed
+
+
+# (metric, max_queue, node_limit) -> (best_cost, lower_bound, generated,
+# expanded, pruned_bound, pruned_infeasible, probes, forced_drops), as
+# reported by the search that scored every child; skipping the children
+# that fail a monotone constraint unscored must not move any of them
+PINNED_COUNTS = {
+    ("cm", 50, 400): (455, 425.0, 416, 17, 64, 54, 3, 55),
+    ("cm", 50, 1500): (455, 425.0, 1506, 59, 92, 236, 14, 341),
+    ("cm", 20, 900): (455, 425.0, 913, 21, 68, 66, 11, 102),
+    ("cm", 8, 2500): (451, 425.0, 2517, 26, 100, 73, 34, 133),
+    ("cm", 100000, 3000): (458, 427.0, 3011, 271, 0, 972, 0, 0),
+    ("dm", 50, 400): (45982, 15105.0, 401, 18, 37, 90, 3, 73),
+    ("dm", 50, 1500): (35306, 15105.0, 1505, 74, 185, 316, 13, 326),
+    ("dm", 20, 900): (43710, 15105.0, 910, 23, 52, 110, 13, 126),
+    ("dm", 8, 2500): (29554, 15105.0, 2508, 36, 65, 169, 46, 182),
+    ("dm", 100000, 3000): (33198, 15798.0, 3007, 257, 371, 1003, 0, 0),
+}
+
+
+def test_search_counts_are_pinned():
+    # probes dive inside expansions and read the generated count there,
+    # so where a skipped child is counted moves every later number
+    space = probe_space()
+    for (name, max_queue, node_limit), want in PINNED_COUNTS.items():
+        res = search(space, make_metric(name, space),
+                     build_constraints(space, k=20, l_div=2.0),
+                     SearchConfig(max_queue=max_queue, node_limit=node_limit))
+        s = res.stats
+        assert (res.best_cost, res.lower_bound, s.generated, s.expanded,
+                s.pruned_bound, s.pruned_infeasible, s.probes,
+                s.forced_drops) == want, (name, max_queue, node_limit)
 
 
 def test_node_budget_reports_exhausted(grid_space):
