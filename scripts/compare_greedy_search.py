@@ -36,7 +36,7 @@ def main():
     ds = load_dataset(args.dataset, schema)
     if args.sample:
         ds = sample_dataset(ds, args.sample, args.seed)
-    space = Space(ds, generate_splits(schema, ds.rows))
+    space = Space(ds, generate_splits(schema, ds))
     metric = make_metric(args.metric, space)
     cons = build_constraints(space, k=args.k, l_div=args.l)
 

@@ -2,13 +2,14 @@
 """Check that two checkouts write the same search outputs.
 
     python3 scripts/same_outputs.py BASE_CHECKOUT [--workload NAME ...]
-        [--seed N] [--flags "EXTRA_FLAGS" ...]
+        [--seed N] [--rows N] [--flags "EXTRA_FLAGS" ...]
 
 Writes each perfbench workload's instance with `make_instance` from
 `perfbench/run.py` (data seed from `perfbench/manifest.json`, `--seed`
-shuffling the row order), then runs `search` on it twice per flag set,
-each time in a fresh process: once with BASE_CHECKOUT's `src/` and once
-with this checkout's. Each `--flags` value is one flag set, split like a
+shuffling the row order, `--rows` replacing the workload's row count
+and then named in each line), then runs `search` on it twice per flag
+set, each time in a fresh process: once with BASE_CHECKOUT's `src/` and
+once with this checkout's. Each `--flags` value is one flag set, split like a
 shell command line and appended to the workload's flags, so it overrides
 them; `--flags ""` is the workload's flags alone, the only set when no
 `--flags` is given. Write `--flags=--improve` when the set is a single
@@ -75,10 +76,14 @@ def main(argv=None) -> int:
                     help="workload to compare (default: all)")
     ap.add_argument("--seed", type=int, default=17,
                     help="shuffles the row order of the instance")
+    ap.add_argument("--rows", type=int, default=None,
+                    help="rows to generate (default: the workload's)")
     ap.add_argument("--flags", action="append", type=shlex.split,
                     help="extra search flags, one set per use "
                          "(default: none)")
     args = ap.parse_args(argv)
+    if args.rows is not None and args.rows < 1:
+        ap.error(f"--rows must be >= 1, got {args.rows}")
     if not (args.base / "src" / "anonsearch").is_dir():
         ap.error(f"{args.base} has no src/anonsearch")
 
@@ -89,11 +94,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name in args.workload or list(workloads):
-            spec = workloads[name]
+            spec, shown = workloads[name], name
+            if args.rows is not None:
+                spec = {**spec, "rows": args.rows}
+                shown = f"{name} ({args.rows} rows)"
             data, cfg = make_instance(spec, manifest["data"]["data_seed"],
                                       args.seed, tmp / name)
             for n, extra in enumerate(args.flags or [[]]):
-                label = f"{name} [{shlex.join(extra)}]" if extra else name
+                label = f"{shown} [{shlex.join(extra)}]" if extra else shown
                 flags = [*spec["flags"], *extra]
                 got, errors = [], []
                 for side in ("base", "head"):

@@ -144,7 +144,7 @@ def _load_space(args):
     ds = load_dataset(args.dataset, schema)
     if args.sample is not None:
         ds = sample_dataset(ds, args.sample, args.seed)
-    splits = generate_splits(schema, ds.rows)
+    splits = generate_splits(schema, ds)
     return Space(ds, splits)
 
 

@@ -6,6 +6,7 @@ import csv
 import json
 import random
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -213,15 +214,23 @@ def load_config(source) -> tuple:
 
 
 class Dataset:
-    """A table of rows aligned with an attribute schema."""
+    """A table aligned with an attribute schema, held as one list per
+    attribute: `columns[i]` has every row's value of `schema[i]`, a float
+    for a numeric attribute and a taxonomy leaf label for a categorical
+    one. No row tuple is ever built."""
 
-    def __init__(self, schema, rows):
+    def __init__(self, schema, columns):
         self.schema = tuple(schema)
-        self.rows = list(rows)
+        self.columns = list(columns)
+        if len(self.columns) != len(self.schema):
+            raise ValueError(f"{len(self.columns)} columns for "
+                             f"{len(self.schema)} attributes")
+        if len(set(map(len, self.columns))) > 1:
+            raise ValueError("columns differ in length")
         self._col_index = {a.name: i for i, a in enumerate(self.schema)}
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 0
 
     def attr_index(self, name: str) -> int:
         try:
@@ -230,17 +239,66 @@ class Dataset:
             raise ConfigError(f"unknown attribute {name!r}") from None
 
     def column(self, name: str) -> list:
-        i = self.attr_index(name)
-        return [r[i] for r in self.rows]
+        """The stored column: shared between callers, who must not
+        mutate it."""
+        return self.columns[self.attr_index(name)]
+
+
+# records read, transposed and checked at a time by `load_dataset`
+CHUNK_ROWS = 256
+
+
+def _parse(attr, raw_text):
+    """The value of one field text; the ValueError says what is wrong."""
+    text = raw_text.strip()
+    if text == "":
+        raise ValueError("missing value")
+    if attr.is_numeric:
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValueError(f"not a number: {text!r}") from None
+        lo, hi = attr.domain
+        if not lo <= v <= hi:
+            raise ValueError(f"{v} outside domain [{lo}, {hi}]")
+        return v
+    node = attr.taxonomy.by_label.get(text)
+    if node is None or not node.is_leaf:
+        raise ValueError(f"unknown value {text!r}")
+    return text
+
+
+def _first_error(path, schema, chunk, first_line, memos):
+    """Raise the first fault of a chunk in (line, column) order: a wrong
+    field count or a field that does not parse."""
+    for lineno, raw in enumerate(chunk, start=first_line):
+        if not raw:
+            continue
+        if len(raw) != len(schema):
+            raise DataError(f"{path}:{lineno}: expected {len(schema)} "
+                            f"fields, got {len(raw)}")
+        for col, (attr, memo, raw_text) in enumerate(
+                zip(schema, memos, raw), start=1):
+            if raw_text in memo:
+                continue
+            try:
+                _parse(attr, raw_text)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: column {col} "
+                                f"({attr.name}): {exc}") from None
+    raise AssertionError("the chunk has no fault")
 
 
 def load_dataset(path, schema) -> Dataset:
     """Read a CSV whose header matches the schema names exactly.
 
-    Each distinct field text is parsed and checked once per column; a
-    text that fails is never remembered, so every error names the first
-    line where it occurs."""
+    Records are read `CHUNK_ROWS` at a time, blank ones dropped, and each
+    chunk is transposed into per-column tuples. Each distinct field text
+    is parsed and checked once per column; a text that fails is never
+    remembered. A chunk with a fault is scanned again row by row, so the
+    error names the first faulty line and column."""
     names = [a.name for a in schema]
+    width = len(schema)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -250,58 +308,38 @@ def load_dataset(path, schema) -> Dataset:
         if [h.strip() for h in header] != names:
             raise DataError(f"{path}: header {header!r} does not match "
                             f"schema attributes {names!r}")
-        rows = []
-        parsed = [{} for _ in schema]   # per column: raw text -> value
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(schema):
-                raise DataError(f"{path}:{lineno}: expected {len(schema)} "
-                                f"fields, got {len(raw)}")
-            row = []
-            for col, (attr, raw_text) in enumerate(zip(schema, raw), start=1):
-                v = parsed[col - 1].get(raw_text)
-                if v is not None:
-                    row.append(v)
-                    continue
-                text = raw_text.strip()
-                if text == "":
-                    raise DataError(f"{path}:{lineno}: column {col} "
-                                    f"({attr.name}): missing value")
-                if attr.is_numeric:
+        columns = [[] for _ in schema]
+        memos = [{} for _ in schema]    # per column: raw text -> value
+        first_line = 2                  # line of the chunk's first record
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            records = list(filter(None, chunk))
+            if records and set(map(len, records)) != {width}:
+                _first_error(path, schema, chunk, first_line, memos)
+            for attr, memo, column, raw in zip(schema, memos, columns,
+                                               zip(*records)):
+                for text in set(raw).difference(memo):
                     try:
-                        v = float(text)
+                        memo[text] = _parse(attr, text)
                     except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: column {col} ({attr.name}): "
-                            f"not a number: {text!r}") from None
-                    lo, hi = attr.domain
-                    if not lo <= v <= hi:
-                        raise DataError(
-                            f"{path}:{lineno}: column {col} ({attr.name}): "
-                            f"{v} outside domain [{lo}, {hi}]")
-                else:
-                    node = attr.taxonomy.by_label.get(text)
-                    if node is None or not node.is_leaf:
-                        raise DataError(
-                            f"{path}:{lineno}: column {col} ({attr.name}): "
-                            f"unknown value {text!r}")
-                    v = text
-                parsed[col - 1][raw_text] = v
-                row.append(v)
-            rows.append(tuple(row))
-    if not rows:
+                        _first_error(path, schema, chunk, first_line, memos)
+                column.extend(map(memo.__getitem__, raw))
+            first_line += len(chunk)
+    if not any(columns):
         raise DataError(f"{path}: no data rows")
-    return Dataset(schema, rows)
+    return Dataset(schema, columns)
 
 
 def sample_dataset(dataset: Dataset, n: int, seed: int = 0) -> Dataset:
-    """Seeded uniform subsample of n >= 1 rows without replacement."""
+    """Seeded uniform subsample of n >= 1 rows without replacement. The
+    rows and their order are those of shuffling the row list with
+    `random.Random(seed)` and keeping the first n."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if n >= len(dataset.rows):
+    if n >= len(dataset):
         return dataset
-    rng = random.Random(seed)
-    rows = list(dataset.rows)
-    rng.shuffle(rows)
-    return Dataset(dataset.schema, rows[:n])
+    order = list(range(len(dataset)))
+    random.Random(seed).shuffle(order)
+    del order[n:]
+    return Dataset(dataset.schema,
+                   [list(map(col.__getitem__, order))
+                    for col in dataset.columns])

@@ -8,6 +8,7 @@ changes the total by the difference of their terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, gt
 
 from .dataset import ConfigError
 
@@ -193,26 +194,18 @@ def count_estimate(space, blocks, query: dict) -> float:
 def true_count(space, query: dict) -> int:
     """Exact matches in the data. Numeric ranges are left-open except at
     the domain minimum, mirroring how splits assign boundary values."""
-    n = 0
-    qi_attrs = space.qi
-    for row in space.dataset.rows:
-        ok = True
-        for qi_pos, (qa, qb) in query.items():
-            v = row[qi_attrs[qi_pos]]
-            attr = space.dataset.schema[qi_attrs[qi_pos]]
-            if attr.is_numeric:
-                dom_lo = attr.domain[0]
-                lo_ok = v >= qa if qa <= dom_lo else v > qa
-                if not (lo_ok and v <= qb):
-                    ok = False
-                    break
-            else:
-                if not qa <= attr.taxonomy.leaf_position(v) < qb:
-                    ok = False
-                    break
-        if ok:
-            n += 1
-    return n
+    ds = space.dataset
+    hits = range(len(ds))
+    for qi_pos, (qa, qb) in query.items():
+        attr_idx = space.qi[qi_pos]
+        attr, col = ds.schema[attr_idx], ds.columns[attr_idx]
+        if attr.is_numeric:
+            above = ge if qa <= attr.domain[0] else gt
+            hits = [r for r in hits if above(col[r], qa) and col[r] <= qb]
+        else:
+            pos = attr.taxonomy.leaf_position
+            hits = [r for r in hits if qa <= pos(col[r]) < qb]
+    return len(hits)
 
 
 def query_error_report(space, blocks, queries) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .splits import Move, Split, SplitSet
 
@@ -96,7 +95,9 @@ class Space:
 
     Each row is binned once into its finest cell: per QI attribute, the
     slot between consecutive split planes holding its value, a value on
-    a plane placed as a split places it. Non-empty cells are numbered in
+    a plane placed as a split places it. The slots are read off the
+    dataset's QI columns, each distinct value binned once per column, and
+    zipped into one slot tuple per row. Non-empty cells are numbered in
     the order of their first row; `cell_of` maps rows to cells and
     `cell_counts` cells to row counts.
     """
@@ -118,18 +119,18 @@ class Space:
                       in zip(planes, extent)]
         self._slot_of_plane = {s.id: planes[s.qi_pos].index(s.plane)
                                for s in splits.splits}
-        rows = dataset.rows
         slots = []
         for a, attr, cuts in zip(self.qi, self.qi_schema, planes):
-            values = set(map(itemgetter(a), rows))
+            column = dataset.columns[a]
+            values = set(column)
             if attr.is_numeric:
                 memo = {v: bisect_left(cuts, v) for v in values}
             else:
                 pos = attr.taxonomy.leaf_position
                 memo = {v: bisect_right(cuts, pos(v)) for v in values}
-            # streamed: no column of the table is held
-            slots.append(map(memo.__getitem__, map(itemgetter(a), rows)))
-        keys = zip(*slots) if slots else [()] * len(dataset.rows)
+            # lazy: the slots are read once, by the cell numbering below
+            slots.append(map(memo.__getitem__, column))
+        keys = zip(*slots) if slots else [()] * len(dataset)
         index: dict = {}    # slot tuple -> cell number
         self.cell_of = [index.setdefault(key, len(index)) for key in keys]
         # per QI attribute, the slot of each cell
@@ -344,15 +345,16 @@ class PartitionTree:
         leaf = self.node_at(path)
         if not isinstance(leaf, Leaf):
             raise ValueError("moves apply to leaves")
-
-        def chain(block, i):
-            if i == len(move.splits):
-                return Leaf(block)
-            left, right = self.space.apply_split(block, move.splits[i])
-            return Internal(move.splits[i], block, Leaf(left),
-                            chain(right, i + 1))
-
-        sub = chain(leaf.block, 0)
+        # a chain down the tree-right side: each split cuts the block
+        # the previous one left on its tree-right
+        block, links = leaf.block, []
+        for s in move.splits:
+            left, right = self.space.apply_split(block, s)
+            links.append((s, block, left))
+            block = right
+        sub = Leaf(block)
+        for s, block, left in reversed(links):
+            sub = Internal(s, block, Leaf(left), sub)
         return PartitionTree(self.space, self._replaced(self.root, path, sub))
 
 
@@ -499,21 +501,23 @@ def _canon_node(space: Space, block, blocks):
     moves = [m for m in space.available_moves(block)
              if all(_respects_all(blocks, s) for s in m.splits)]
     move = min(moves, key=lambda m: m.id)
+    return _canon_chain(space, move.splits, block, blocks)
 
-    def build(b, i, group):
-        if i == len(move.splits):
-            return _canon_node(space, b, group)
-        s = move.splits[i]
-        lb, rb = space.apply_split(b, s)
-        left, rest = [], []
-        for blk in group:
-            lo, hi = blk.extent[s.qi_pos]
-            side = hi <= s.plane if s.numeric else lo >= s.plane
-            (left if side else rest).append(blk)
-        return Internal(s, b, _canon_node(space, lb, left),
-                        build(rb, i + 1, rest))
 
-    return build(block, 0, blocks)
+def _canon_chain(space: Space, splits, block, blocks):
+    """The chain of `splits` over `block`, each split's tree-left child
+    and the last tree-right one rebuilt over the `blocks` inside them."""
+    if not splits:
+        return _canon_node(space, block, blocks)
+    s = splits[0]
+    lb, rb = space.apply_split(block, s)
+    left, rest = [], []
+    for blk in blocks:
+        lo, hi = blk.extent[s.qi_pos]
+        side = hi <= s.plane if s.numeric else lo >= s.plane
+        (left if side else rest).append(blk)
+    return Internal(s, block, _canon_node(space, lb, left),
+                    _canon_chain(space, splits[1:], rb, rest))
 
 
 def normalize(tree: PartitionTree) -> PartitionTree:

@@ -122,7 +122,7 @@ def _with_masks(splits):
     return out
 
 
-def _numeric_cuts(attr, spec, values):
+def _numeric_cuts(attr, spec, dataset):
     lo, hi = attr.domain
     kind = spec.get("type")
     if kind == "none":
@@ -145,9 +145,10 @@ def _numeric_cuts(attr, spec, values):
         count = int(spec.get("count", 0))
         if count < 0:
             raise ConfigError(f"attribute {attr.name!r}: negative split count")
-        if values is None:
+        if dataset is None:
             raise ConfigError(f"attribute {attr.name!r}: quantile splits "
                               "need data")
+        values = dataset.column(attr.name)
         distinct = sorted(set(values))
         if len(distinct) < 2 or count == 0:
             return []
@@ -164,10 +165,11 @@ def _numeric_cuts(attr, spec, values):
     raise ConfigError(f"attribute {attr.name!r}: unknown split type {kind!r}")
 
 
-def generate_splits(schema, rows=None) -> SplitSet:
+def generate_splits(schema, dataset=None) -> SplitSet:
     """Build the SplitSet for a schema, consuming each attribute's
-    `splits` spec. Quantile specs need `rows`. Every QI attribute must
-    carry a spec; use type "none" (or explicit []) to opt out.
+    `splits` spec. Quantile specs need the `dataset` and read its column;
+    no other spec reads data. Every QI attribute must carry a spec; use
+    type "none" (or explicit []) to opt out.
     """
     splits = []
     next_id = 1
@@ -181,10 +183,7 @@ def generate_splits(schema, rows=None) -> SplitSet:
             raise ConfigError(f"attribute {attr.name!r}: QI attributes need "
                               "a 'splits' entry (use type 'none' to opt out)")
         if attr.is_numeric:
-            values = None
-            if rows is not None:
-                values = [r[attr_idx] for r in rows]
-            for v in _numeric_cuts(attr, spec, values):
+            for v in _numeric_cuts(attr, spec, dataset):
                 splits.append(Split(next_id, attr_idx, qi_pos, v, True))
                 next_id += 1
         else:

@@ -1,19 +1,95 @@
+import csv
 import math
 import random
 from collections import Counter
 
 import pytest
 
-from anonsearch.dataset import Dataset, load_config
+from anonsearch.dataset import DataError, Dataset, load_config
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.partition import Block, Internal, Leaf, Space
 from anonsearch.splits import generate_splits
 
 
+def rows_dataset(schema, rows) -> Dataset:
+    """A Dataset from row tuples, transposed into its columns."""
+    rows = list(rows)
+    return Dataset(schema, [[r[i] for r in rows] for i in range(len(schema))])
+
+
+def dataset_rows(dataset) -> list:
+    """The row tuples of a Dataset, in order."""
+    return list(zip(*dataset.columns))
+
+
+def reference_load_dataset(path, schema) -> list:
+    """Reference for `load_dataset`: the row-major loader it replaced,
+    verbatim but for returning the list of row tuples.
+
+    Read a CSV whose header matches the schema names exactly.
+
+    Each distinct field text is parsed and checked once per column; a
+    text that fails is never remembered, so every error names the first
+    line where it occurs."""
+    names = [a.name for a in schema]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != names:
+            raise DataError(f"{path}: header {header!r} does not match "
+                            f"schema attributes {names!r}")
+        rows = []
+        parsed = [{} for _ in schema]   # per column: raw text -> value
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(schema):
+                raise DataError(f"{path}:{lineno}: expected {len(schema)} "
+                                f"fields, got {len(raw)}")
+            row = []
+            for col, (attr, raw_text) in enumerate(zip(schema, raw), start=1):
+                v = parsed[col - 1].get(raw_text)
+                if v is not None:
+                    row.append(v)
+                    continue
+                text = raw_text.strip()
+                if text == "":
+                    raise DataError(f"{path}:{lineno}: column {col} "
+                                    f"({attr.name}): missing value")
+                if attr.is_numeric:
+                    try:
+                        v = float(text)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: column {col} ({attr.name}): "
+                            f"not a number: {text!r}") from None
+                    lo, hi = attr.domain
+                    if not lo <= v <= hi:
+                        raise DataError(
+                            f"{path}:{lineno}: column {col} ({attr.name}): "
+                            f"{v} outside domain [{lo}, {hi}]")
+                else:
+                    node = attr.taxonomy.by_label.get(text)
+                    if node is None or not node.is_leaf:
+                        raise DataError(
+                            f"{path}:{lineno}: column {col} ({attr.name}): "
+                            f"unknown value {text!r}")
+                    v = text
+                parsed[col - 1][raw_text] = v
+                row.append(v)
+            rows.append(tuple(row))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return rows
+
+
 def build_space(cfg, rows) -> Space:
     schema = load_config(cfg)
-    ds = Dataset(schema, rows)
-    return Space(ds, generate_splits(schema, ds.rows))
+    ds = rows_dataset(schema, rows)
+    return Space(ds, generate_splits(schema, ds))
 
 
 @pytest.fixture
@@ -169,16 +245,16 @@ def row_columns(space: Space) -> dict:
     for i in space.qi:
         attr = space.dataset.schema[i]
         if attr.is_numeric:
-            columns[i] = [r[i] for r in space.dataset.rows]
+            columns[i] = list(space.dataset.columns[i])
         else:
             pos = attr.taxonomy.leaf_position
-            columns[i] = [pos(r[i]) for r in space.dataset.rows]
+            columns[i] = [pos(v) for v in space.dataset.columns[i]]
     return columns
 
 
 def row_root(space: Space) -> RowBlock:
     return RowBlock(space.root_block.extent,
-                    tuple(range(len(space.dataset.rows))))
+                    tuple(range(len(space.dataset))))
 
 
 def reference_apply_split(columns, block: RowBlock, s):

@@ -347,7 +347,7 @@ def test_smoke_scale_census_run(tmp_path):
                    check=True, capture_output=True)
     schema = load_config(str(tmp_path / "config.json"))
     ds = load_dataset(str(tmp_path / "data.csv"), schema)
-    space = Space(ds, generate_splits(schema, ds.rows))
+    space = Space(ds, generate_splits(schema, ds))
     assert len(space.splits) == 20
 
     metric = make_metric("dm", space)

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from anonsearch.bounds import BoundContext, lower_bound
 from anonsearch.constraints import build_constraints
-from anonsearch.dataset import Dataset
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.metrics import make_metric
 from anonsearch.partition import Leaf, Space, legal_moves
 from anonsearch.search import SearchConfig, search
 from anonsearch.splits import Move
 
-from conftest import build_space, oracle_min_cost, random_instance, random_tree
+from conftest import (build_space, dataset_rows, oracle_min_cost, random_instance,
+                      random_tree, rows_dataset)
 
 
 def worked_space():
@@ -138,9 +138,9 @@ def test_min_cost_matches_oracle(seed, name, k):
     tree = random_tree(space, rng)
     # the same rows in another order: cells are met in another order, which
     # may move only vm's last ulp
-    rows = list(space.dataset.rows)
+    rows = dataset_rows(space.dataset)
     rng.shuffle(rows)
-    shuffled = Space(Dataset(space.dataset.schema, rows), space.splits)
+    shuffled = Space(rows_dataset(space.dataset.schema, rows), space.splits)
     sctx = BoundContext(shuffled, make_metric(name, shuffled),
                         build_constraints(shuffled, k=k))
     sblocks = replayed_blocks(tree.root, shuffled, shuffled.root_block)

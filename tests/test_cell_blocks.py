@@ -18,12 +18,12 @@ from anonsearch.bounds import BoundContext
 from anonsearch.constraints import (EntropyLDiversity, EpsPrivacy, KAnonymity,
                                     TCloseness, build_constraints,
                                     ordered_distance)
-from anonsearch.dataset import Dataset
 from anonsearch.metrics import make_metric
 from anonsearch.partition import Internal, Space
 
-from conftest import (random_instance, random_tree, reference_apply_split,
-                      row_columns, row_root)
+from conftest import (dataset_rows, random_instance, random_tree,
+                      reference_apply_split, row_columns, row_root,
+                      rows_dataset)
 
 
 def row_cost(name, metric, block, labels):
@@ -103,9 +103,9 @@ def test_cell_blocks_match_row_scans(seed):
                                 rows_range=(6, 24), snap=0.4)
         if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
             break
-    rows = list(space.dataset.rows)
+    rows = dataset_rows(space.dataset)
     rng.shuffle(rows)
-    shuffled = Space(Dataset(space.dataset.schema, rows), space.splits)
+    shuffled = Space(rows_dataset(space.dataset.schema, rows), space.splits)
     columns = row_columns(space)
     labels = space.dataset.column("s")
     leaf = space.dataset.schema[space.dataset.attr_index("s")].taxonomy

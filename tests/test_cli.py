@@ -395,3 +395,12 @@ def test_same_outputs_script_smoke():
         "taxo3k-exact: same (partition.json, progress.csv, result.json)",
         "taxo3k-exact [--metric vm --node-limit 300]: "
         "same (partition.json, progress.csv, result.json)"]
+    # --rows replaces the workload's row count and is named in the line
+    proc = subprocess.run(
+        [sys.executable, str(script), str(ROOT), "--workload", "adult3k-dm",
+         "--rows", "700", "--flags", "--node-limit 200"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "adult3k-dm (700 rows) [--node-limit 200]: "
+        "same (partition.json, progress.csv, result.json)"]

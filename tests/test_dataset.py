@@ -1,8 +1,18 @@
-import pytest
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
-from anonsearch.dataset import (ConfigError, DataError, Dataset, load_config,
-                                load_dataset, sample_dataset,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anonsearch import dataset as dataset_mod
+from anonsearch.dataset import (CHUNK_ROWS, ConfigError, DataError, Dataset,
+                                load_config, load_dataset, sample_dataset,
                                 taxonomy_from_dict)
+
+from conftest import reference_load_dataset
 
 BASE = {"attributes": [
     {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 10],
@@ -89,8 +99,9 @@ def test_load_dataset_ok(tmp_path):
     p = write(tmp_path, "x,c\n1.5,a\n9,b\n")
     ds = load_dataset(p, schema)
     assert len(ds) == 2
-    assert ds.rows[0] == (1.5, "a")
+    assert ds.columns == [[1.5, 9.0], ["a", "b"]]
     assert ds.column("c") == ["a", "b"]
+    assert ds.column("c") is ds.columns[1]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -127,13 +138,21 @@ def test_internal_taxonomy_label_is_not_a_value(tmp_path):
 def test_sample_dataset_deterministic():
     schema = load_config(BASE)
     rows = [(float(i), "a") for i in range(10)]
-    ds = Dataset(schema, rows)
+    ds = Dataset(schema, [[float(i) for i in range(10)], ["a"] * 10])
     s1 = sample_dataset(ds, 4, seed=3)
     s2 = sample_dataset(ds, 4, seed=3)
-    assert s1.rows == s2.rows
+    assert s1.columns == s2.columns
     assert len(s1) == 4
     assert sample_dataset(ds, 99, seed=0) is ds
-    assert set(s1.rows) <= set(rows)
+    assert set(zip(*s1.columns)) <= set(rows)
+
+
+def test_dataset_rejects_misaligned_columns():
+    schema = load_config(BASE)
+    with pytest.raises(ValueError, match="1 columns for 2 attributes"):
+        Dataset(schema, [[1.0]])
+    with pytest.raises(ValueError, match="columns differ in length"):
+        Dataset(schema, [[1.0, 2.0], ["a"]])
 
 
 @pytest.mark.parametrize("tail,line,message", [
@@ -160,12 +179,127 @@ def test_load_dataset_whitespace_variants_parse_alike(tmp_path):
     schema = load_config(BASE)
     p = write(tmp_path, "x,c\n5,a\n 5 ,a\n5, a \n5.0,a\n 2,b\n2 , b\n")
     ds = load_dataset(p, schema)
-    assert ds.rows == [(5.0, "a")] * 4 + [(2.0, "b")] * 2
+    assert ds.columns == [[5.0] * 4 + [2.0] * 2, ["a"] * 4 + ["b"] * 2]
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_sample_dataset_rejects_sizes_below_one(n):
     # before, n = 0 kept no rows and n = -1 dropped the last one
-    ds = Dataset(load_config(BASE), [(float(i), "a") for i in range(4)])
+    ds = Dataset(load_config(BASE), [[float(i) for i in range(4)], ["a"] * 4])
     with pytest.raises(ValueError, match=f"sample size must be >= 1, got {n}"):
         sample_dataset(ds, n)
+
+
+# ---- the column loader against the row-major reference ----
+
+TAXO = {"attributes": [
+    {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 10],
+     "splits": {"type": "explicit", "values": [5]}},
+    {"name": "c", "kind": "categorical", "role": "qi", "taxonomy": "t",
+     "splits": {"type": "taxonomy"}},
+], "taxonomies": {"t": {"label": "any", "children": [
+    {"label": "ab", "children": [{"label": "a"}, {"label": "b"}]},
+    {"label": "c"}]}}}
+
+# field texts as written in the file: whitespace variants, a quoted field
+GOOD = {"x": ["5", " 5 ", "5.0", "2", "2 ", "0", "10", "7.25", '"3"'],
+        "c": ["a", " a", "b ", "c", '"b"']}
+BAD = {"missing value": {"x": ["", "  "], "c": ["", " "]},
+       "not a number": {"x": ["foo", "a", "1,5"]},
+       "out of domain": {"x": ["99", "-1", "nan", "inf"]},
+       "unknown label": {"c": ["zz", "5"]},
+       "internal label": {"c": ["ab", "any"]}}
+
+
+def line(fields):
+    return ",".join(fields)
+
+
+@st.composite
+def csv_lines(draw):
+    """Data lines: good records and blank lines, with up to two faults,
+    a chunk size, and the faults' lines drawn near chunk boundaries."""
+    chunk = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 4 * chunk + 2))
+    lines = []
+    for _ in range(n):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        else:
+            lines.append(line([draw(st.sampled_from(GOOD["x"])),
+                               draw(st.sampled_from(GOOD["c"]))]))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["wrong count", *BAD]))
+        if kind == "wrong count":
+            fields = draw(st.sampled_from([["5"], ["5", "a", "a"], ["", "", ""]]))
+        else:
+            col = draw(st.sampled_from(sorted(BAD[kind])))
+            fields = [draw(st.sampled_from(GOOD["x"])),
+                      draw(st.sampled_from(GOOD["c"]))]
+            fields["xc".index(col)] = draw(st.sampled_from(BAD[kind][col]))
+        boundary = chunk * draw(st.integers(0, 4))
+        at = min(len(lines), max(0, boundary + draw(st.integers(-1, 1))))
+        lines.insert(at, line(fields))
+    return chunk, lines
+
+
+def assert_loads_like_reference(path, schema):
+    try:
+        want = reference_load_dataset(path, schema)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_dataset(path, schema)
+        assert str(err.value) == str(exc)
+        return
+    ds = load_dataset(path, schema)
+    assert ds.columns == [list(col) for col in zip(*want)]
+    assert [list(map(type, col)) for col in ds.columns] == \
+        [list(map(type, col)) for col in zip(*want)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_lines(), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+def test_load_dataset_matches_row_reference(drawn, newline, final_newline):
+    chunk, lines = drawn
+    schema = load_config(TAXO)
+    text = newline.join(["x,c", *lines]) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(dataset_mod, "CHUNK_ROWS", chunk):
+            assert_loads_like_reference(path, schema)
+
+
+@pytest.mark.parametrize("faults", [
+    {CHUNK_ROWS - 1: "7,zz"}, {CHUNK_ROWS: "7,zz"},
+    {CHUNK_ROWS - 1: "99,a", CHUNK_ROWS: "7"},
+    {CHUNK_ROWS: "7", CHUNK_ROWS + 1: "foo,a"},
+    {CHUNK_ROWS + 1: "7,any"}, {2 * CHUNK_ROWS - 1: ",b"}, {},
+])
+def test_load_dataset_at_chunk_boundaries(tmp_path, faults):
+    """The real chunk size: faults just before, at and after a chunk's
+    first line, with repeats and blank lines before them."""
+    rng = random.Random(len(faults))
+    lines = [line([rng.choice(GOOD["x"]), rng.choice(GOOD["c"])])
+             if i % 17 else "" for i in range(2 * CHUNK_ROWS + 5)]
+    for at, text in faults.items():
+        lines[at] = text
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(["x,c", *lines]) + "\n")
+    assert_loads_like_reference(path, load_config(TAXO))
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (3, 1), (7, 3), (19, 42),
+                                    (20, 5), (38, 7), (39, 11)])
+def test_sample_dataset_keeps_the_row_shuffle(n, seed):
+    """The rows and their order are those of shuffling the row list with
+    `random.Random(seed)` and keeping the first n."""
+    schema = load_config(BASE)
+    rows = [(float(i % 11), "abc"[i % 3]) for i in range(40)]
+    ds = Dataset(schema, [[r[0] for r in rows], [r[1] for r in rows]])
+    want = list(rows)
+    random.Random(seed).shuffle(want)
+    got = sample_dataset(ds, n, seed)
+    assert list(zip(*got.columns)) == want[:n]
+    assert len(got) == n

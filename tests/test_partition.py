@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -28,15 +29,15 @@ def exp(space, attr_idx, rng):
 
 def test_numeric_boundary_value_goes_tree_left(grid_space):
     s = grid_space.splits.by_id[2]  # x = 2
-    cfg_rows = grid_space.dataset.rows
+    xs = grid_space.dataset.column("x")
     left, right = grid_space.apply_split(grid_space.root_block, s)
     assert left.extent[0] == (0.0, 2.0) and right.extent[0] == (2.0, 4.0)
     left_rows = block_rows(grid_space, left)
     right_rows = block_rows(grid_space, right)
     for r in left_rows:
-        assert cfg_rows[r][0] <= 2
+        assert xs[r] <= 2
     for r in right_rows:
-        assert cfg_rows[r][0] > 2
+        assert xs[r] > 2
     assert sorted(left_rows + right_rows) == block_rows(
         grid_space, grid_space.root_block)
 
@@ -48,10 +49,11 @@ def test_categorical_tree_left_is_upper_range(tax_space):
     assert left.extent[0] == (2, 4)
     assert right.extent[0] == (0, 2)
     pos = tax_space.qi_schema[0].taxonomy.leaf_position
+    ws = tax_space.dataset.column("w")
     for r in block_rows(tax_space, left):
-        assert pos(tax_space.dataset.rows[r][0]) >= 2
+        assert pos(ws[r]) >= 2
     for r in block_rows(tax_space, right):
-        assert pos(tax_space.dataset.rows[r][0]) < 2
+        assert pos(ws[r]) < 2
 
 
 def test_move_blocks_chain_covers_children(tax_space):
@@ -336,3 +338,32 @@ def test_trees_from_legal_moves_are_canonical(seed):
     tree = random_tree(space, rng)
     assert is_legal(tree)
     assert normalize(tree).root == tree.root
+
+
+# ---- garbage ----
+
+def test_growing_and_normalizing_leave_no_reference_cycles():
+    """Trees are freed by reference counting alone: with the cyclic
+    collector off, nothing is left for it after `apply_move` and
+    `normalize`."""
+    cfg = {"attributes": [
+        {"name": "c", "kind": "categorical", "role": "qi",
+         "values": ["p", "q", "r"], "splits": {"type": "taxonomy"}},
+        {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 3],
+         "splits": {"type": "explicit", "values": [1, 2]}},
+    ]}
+    space = build_space(cfg, [(c, x + 0.5) for c in "pqr" for x in range(3)])
+    rng = random.Random(3)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            tree = space.root_tree()
+            while moves := legal_moves(tree):
+                tree = tree.apply_move(*rng.choice(moves))
+            assert isinstance(tree.root, Internal)
+            assert gc.collect() == 0
+            assert is_legal(tree)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

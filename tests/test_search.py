@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from anonsearch.bounds import lower_bound
 from anonsearch.constraints import build_constraints
-from anonsearch.dataset import Dataset, load_config, sample_dataset
+from anonsearch.dataset import load_config, sample_dataset
 from anonsearch.metrics import make_metric, theoretical_bound
 from anonsearch.partition import Space, is_legal, legal_moves
 from anonsearch.search import (SearchConfig, SearchConfigError, _Searcher,
                                mondrian_greedy, search)
 from anonsearch.splits import Move, generate_splits
 
-from conftest import brute_best, build_space, random_instance, random_tree
+from conftest import (brute_best, build_space, random_instance, random_tree,
+                      rows_dataset)
 
 
 def adult_space(n_rows, sample=None, splits=None):
@@ -31,10 +32,10 @@ def adult_space(n_rows, sample=None, splits=None):
         if splits and attr["name"] in splits:
             attr["splits"] = splits[attr["name"]]
     schema = load_config(doc)
-    ds = Dataset(schema, make_rows(n_rows, random.Random(17)))
+    ds = rows_dataset(schema, make_rows(n_rows, random.Random(17)))
     if sample is not None:
         ds = sample_dataset(ds, *sample)
-    return Space(ds, generate_splits(schema, ds.rows))
+    return Space(ds, generate_splits(schema, ds))
 
 
 def eps_space():

@@ -96,8 +96,8 @@ def test_quantile_cuts_sit_between_distinct_values():
         {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 10],
          "splits": {"type": "quantile", "count": 3}}]}
     schema = load_config(cfg)
-    rows = [(v,) for v in [1, 1, 1, 2, 2, 5, 5, 5, 8, 9]]
-    ss = generate_splits(schema, rows)
+    ds = Dataset(schema, [[1, 1, 1, 2, 2, 5, 5, 5, 8, 9]])
+    ss = generate_splits(schema, ds)
     planes = [s.plane for s in ss.splits]
     assert planes == sorted(set(planes))
     mids = {1.5, 3.5, 6.5, 8.5}
@@ -116,7 +116,8 @@ def test_quantile_single_distinct_value_yields_none():
     cfg = {"attributes": [
         {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 10],
          "splits": {"type": "quantile", "count": 2}}]}
-    ss = generate_splits(load_config(cfg), [(4.0,), (4.0,), (4.0,)])
+    schema = load_config(cfg)
+    ss = generate_splits(schema, Dataset(schema, [[4.0, 4.0, 4.0]]))
     assert len(ss) == 0
 
 
