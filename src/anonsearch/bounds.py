@@ -1,4 +1,10 @@
-"""Lower bounds on the cost of all partitions reachable from a tree.
+"""Lower bounds on the cost of all partitions reachable from a tree, and
+the one owner of a solve's block statistics.
+
+A `BoundContext` serves one solve of one `(space, metric, constraints)`:
+it memoizes each block's exact cost, constraint flags and
+finest-refinement cost by extent, for the search and for greedy alike.
+`ConstraintSet` and the metrics hold no per-block state.
 
 Only leaves that are still splittable (those after the most recent move
 head in pre-order) can be refined; every other leaf pays its exact cost. A
@@ -32,36 +38,60 @@ from __future__ import annotations
 
 
 class BoundContext:
-    """Per-cell metric floors plus finest-refinement costs memoized per
-    extent.
+    """The per-extent statistics of one solve: `cost`, `flags` and
+    `min_cost` of a block, each memoized by extent for the life of the
+    context. A metric or constraint that reads a `Space` must read this
+    one; another is refused with a `ValueError` naming it.
 
     The finest-cell table lives on the `Space`; this keeps the metric's
     floor of each non-empty cell under the constraints' minimum block
-    size. A new extent costs one addition per cell of the block, in
-    ascending cell order: the order of the cells' first rows, so row
-    order can move only the last ulp of a vm sum; dm and cm floors are
-    integers, exact in any order.
+    size. A new extent's `min_cost` is one addition per cell of the
+    block, in ascending cell order: the order of the cells' first rows,
+    so row order can move only the last ulp of a vm sum; dm and cm
+    floors are integers, exact in any order.
     """
 
     def __init__(self, space, metric, constraints):
+        for kind, obj in (("metric", metric),
+                          *(("constraint", c) for c in constraints)):
+            if getattr(obj, "space", space) is not space:
+                raise ValueError(f"{kind} {obj.name!r} was built for "
+                                 "another Space")
         self.metric = metric
-        self._memo: dict = {}
+        self.cons = constraints
+        self._costs: dict = {}
+        self._flags: dict = {}
+        self._mins: dict = {}
         size_floor = constraints.min_block_size()
         self._floors = [metric.floor_cost(space.cell_block(cell), size_floor)
                         for cell in range(len(space.cell_counts))]
 
+    def cost(self, block) -> float:
+        """The metric's exact cost of `block`."""
+        hit = self._costs.get(block.extent)
+        if hit is None:
+            hit = self._costs[block.extent] = self.metric.block_cost(block)
+        return hit
+
+    def flags(self, block):
+        """`(fails_any, fails_monotone)` of `block` under the constraints."""
+        hit = self._flags.get(block.extent)
+        if hit is None:
+            hit = self._flags[block.extent] = self.cons.block_flags(block)
+        return hit
+
     def min_cost(self, block) -> float:
-        hit = self._memo.get(block.extent)
+        hit = self._mins.get(block.extent)
         if hit is not None:
             return hit
         total = 0.0
         for cell in block.cells:
             total += self._floors[cell]
-        self._memo[block.extent] = total
+        self._mins[block.extent] = total
         return total
 
 
-def frontier(leaves, ctx: BoundContext, cost_of, frozen: float):
+def frontier(leaves, ctx: BoundContext, frozen: float):
     """The bound terms of a tree from its frontier: `(pre, mins)`.
 
     `leaves` are the tree's refinable leaves in pre-order (the frontier,
@@ -77,33 +107,27 @@ def frontier(leaves, ctx: BoundContext, cost_of, frozen: float):
     for _, node, _ in leaves:
         pre.append(total)
         mins.append(ctx.min_cost(node.block))
-        total += cost_of(node.block)
+        total += ctx.cost(node.block)
     pre.append(total)
     return pre, mins
 
 
-def frozen_cost(tree, cost_of) -> float:
+def frozen_cost(tree, ctx: BoundContext) -> float:
     """Exact cost of the leaves before the frontier, added in pre-order."""
     blocks = tree.leaf_blocks()
     total = 0.0
     for b in blocks[:len(blocks) - len(tree.splittable_leaves())]:
-        total += cost_of(b)
+        total += ctx.cost(b)
     return total
 
 
-def lower_bound(tree, ctx: BoundContext, cost_of=None) -> float:
+def lower_bound(tree, ctx: BoundContext) -> float:
     """Lower bound over the partitions reachable from `tree`: the frozen
     prefix at exact cost plus the frontier at finest-refinement cost,
     added in pre-order. Walks the whole tree; the search carries the
-    frozen prefix instead.
-
-    `cost_of` maps a block to its exact metric cost; defaults to the
-    context's metric.
-    """
-    if cost_of is None:
-        cost_of = ctx.metric.block_cost
-    pre, mins = frontier(tree.splittable_leaves(), ctx, cost_of,
-                         frozen_cost(tree, cost_of))
+    frozen prefix instead."""
+    pre, mins = frontier(tree.splittable_leaves(), ctx,
+                         frozen_cost(tree, ctx))
     total = pre[0]
     for m in mins:
         total += m

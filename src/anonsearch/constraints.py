@@ -9,6 +9,13 @@ in to treating them as monotone.
 
 The distribution checks read a block's sensitive histogram, the sum of
 its finest cells' histograms (`Space.histogram`); no check scans rows.
+
+Constraints and `ConstraintSet` hold no per-block state: every call
+checks the block afresh, so one set may serve any number of solves. The
+flags of one solve are memoized per extent by its `BoundContext`. The
+checks that read a `Space` (l-diversity, t-closeness, eps-privacy) keep
+the one they were built for, and a `BoundContext` refuses them for
+another.
 """
 
 from __future__ import annotations
@@ -228,11 +235,11 @@ class Violation:
 
 
 class ConstraintSet:
-    """Ordered bundle of constraints with per-block result caching."""
+    """Ordered bundle of constraints. Stateless: `BoundContext` memoizes
+    the flags of one solve."""
 
     def __init__(self, constraints):
         self.constraints = tuple(constraints)
-        self._flags: dict = {}
 
     def __iter__(self):
         return iter(self.constraints)
@@ -241,19 +248,14 @@ class ConstraintSet:
         return len(self.constraints)
 
     def block_flags(self, block):
-        """(fails_any, fails_monotone) for one block, cached by extent."""
-        hit = self._flags.get(block.extent)
-        if hit is None:
-            fails_any = fails_mono = False
-            for c in self.constraints:
-                if not c.block_ok(block):
-                    fails_any = True
-                    if c.monotone:
-                        fails_mono = True
-                        break
-            hit = (fails_any, fails_mono)
-            self._flags[block.extent] = hit
-        return hit
+        """(fails_any, fails_monotone) for one block."""
+        fails_any = False
+        for c in self.constraints:
+            if not c.block_ok(block):
+                if c.monotone:
+                    return True, True
+                fails_any = True
+        return fails_any, False
 
     def block_ok(self, block) -> bool:
         return not self.block_flags(block)[0]

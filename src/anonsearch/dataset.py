@@ -124,9 +124,15 @@ def taxonomy_from_dict(spec) -> TaxonomyTree:
 
 
 def flat_taxonomy(name: str, values) -> TaxonomyTree:
-    """One-level hierarchy: a root covering the given values."""
+    """One-level hierarchy: a root covering the given values. A single
+    value is a one-leaf taxonomy, which allows no split."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"attribute {name!r}: 'values' must be a "
+                          f"nonempty list, got {values!r}")
     if len(values) != len(set(values)):
         raise ConfigError(f"attribute {name}: duplicate values")
+    if len(values) == 1:
+        return taxonomy_from_dict({"label": str(values[0])})
     return taxonomy_from_dict(
         {"label": f"<{name}>", "children": [{"label": str(v)} for v in values]})
 
@@ -268,25 +274,31 @@ def _parse(attr, raw_text):
     return text
 
 
-def _first_error(path, schema, chunk, first_line, memos):
-    """Raise the first fault of a chunk in (line, column) order: a wrong
-    field count or a field that does not parse."""
-    for lineno, raw in enumerate(chunk, start=first_line):
-        if not raw:
-            continue
-        if len(raw) != len(schema):
-            raise DataError(f"{path}:{lineno}: expected {len(schema)} "
-                            f"fields, got {len(raw)}")
-        for col, (attr, memo, raw_text) in enumerate(
-                zip(schema, memos, raw), start=1):
-            if raw_text in memo:
-                continue
-            try:
-                _parse(attr, raw_text)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: column {col} "
-                                f"({attr.name}): {exc}") from None
-    raise AssertionError("the chunk has no fault")
+def _first_error(path, schema, memos):
+    """Raise the first fault of the file in (line, column) order: a wrong
+    field count or a field that does not parse. The file is read again
+    from the top with the reader's own line count, so the error names the
+    line where the faulty record starts even after a quoted field that
+    holds a line break."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)                    # the header, already checked
+        lineno = reader.line_num + 1    # the line the next record starts on
+        for raw in reader:
+            if raw and len(raw) != len(schema):
+                raise DataError(f"{path}:{lineno}: expected {len(schema)} "
+                                f"fields, got {len(raw)}")
+            for col, (attr, memo, raw_text) in enumerate(
+                    zip(schema, memos, raw), start=1):
+                if raw_text in memo:
+                    continue
+                try:
+                    _parse(attr, raw_text)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: column {col} "
+                                    f"({attr.name}): {exc}") from None
+            lineno = reader.line_num + 1
+    raise AssertionError("the file has no fault")
 
 
 def load_dataset(path, schema) -> Dataset:
@@ -295,8 +307,9 @@ def load_dataset(path, schema) -> Dataset:
     Records are read `CHUNK_ROWS` at a time, blank ones dropped, and each
     chunk is transposed into per-column tuples. Each distinct field text
     is parsed and checked once per column; a text that fails is never
-    remembered. A chunk with a fault is scanned again row by row, so the
-    error names the first faulty line and column."""
+    remembered. At the first fault the file is read again record by
+    record (`_first_error`), so the error names the line where the first
+    faulty record starts, and its column."""
     names = [a.name for a in schema]
     width = len(schema)
     with open(path, newline="") as fh:
@@ -310,20 +323,18 @@ def load_dataset(path, schema) -> Dataset:
                             f"schema attributes {names!r}")
         columns = [[] for _ in schema]
         memos = [{} for _ in schema]    # per column: raw text -> value
-        first_line = 2                  # line of the chunk's first record
         while chunk := list(islice(reader, CHUNK_ROWS)):
             records = list(filter(None, chunk))
             if records and set(map(len, records)) != {width}:
-                _first_error(path, schema, chunk, first_line, memos)
+                _first_error(path, schema, memos)
             for attr, memo, column, raw in zip(schema, memos, columns,
                                                zip(*records)):
                 for text in set(raw).difference(memo):
                     try:
                         memo[text] = _parse(attr, text)
                     except ValueError:
-                        _first_error(path, schema, chunk, first_line, memos)
+                        _first_error(path, schema, memos)
                 column.extend(map(memo.__getitem__, raw))
-            first_line += len(chunk)
     if not any(columns):
         raise DataError(f"{path}: no data rows")
     return Dataset(schema, columns)

@@ -92,13 +92,15 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.mode not in ("optimal", "approx"):
-            raise ValueError(f"bad mode {self.mode!r}")
+            raise SearchConfigError(
+                "mode", f"must be 'optimal' or 'approx', got {self.mode!r}")
         if self.mode == "optimal":
             self.alpha = 1.0
         elif not self.alpha >= 1:
             raise SearchConfigError("alpha", f"must be >= 1, got {self.alpha:g}")
         if self.priority not in ("lb", "cost"):
-            raise ValueError(f"bad priority {self.priority!r}")
+            raise SearchConfigError(
+                "priority", f"must be 'lb' or 'cost', got {self.priority!r}")
         if self.max_queue < 1:
             raise SearchConfigError(
                 "max_queue", f"must be >= 1, got {self.max_queue}")
@@ -139,11 +141,13 @@ class SearchResult:
 
 @dataclass(slots=True)
 class _Node:
+    """A scored tree. No block of a node violates a monotone constraint:
+    a root with such a block ends the search as infeasible, and a child
+    that adds one is counted and dropped where it is scored."""
     tree: PartitionTree | None   # None until the node is expanded
     cost: float
     lb: float
     fail_any: int     # blocks violating any constraint
-    fail_mono: int    # blocks violating a monotone constraint
     frozen: float     # exact cost of the leaves before the frontier
     # a queued child's tree is grown on expansion: parent.apply_move(path,
     # move); parent is None once the tree exists
@@ -155,14 +159,11 @@ class _Node:
 class _Searcher:
     def __init__(self, space, metric, constraints, config, seed_tree=None):
         self.space = space
-        self.metric = metric
-        self.cons = constraints
         self.cfg = config
         self.seed_tree = seed_tree
         self.bctx = BoundContext(space, metric, constraints)
         self.theory = theoretical_bound(metric, space,
                                         constraints.min_block_size())
-        self._costs: dict = {}
         # extent -> (moves, their id bits, each move's child terms or None)
         self._tables: dict = {}
         self.stats = SearchStats()
@@ -177,23 +178,19 @@ class _Searcher:
 
     # ---- scoring ----
 
-    def cost_of(self, block) -> float:
-        c = self._costs.get(block.extent)
-        if c is None:
-            c = self.metric.block_cost(block)
-            self._costs[block.extent] = c
-        return c
-
-    def _evaluate(self, tree) -> _Node:
+    def _evaluate(self, tree):
+        """`(node, fail_mono)` of a tree scored from scratch: its node,
+        and the number of its blocks violating a monotone constraint."""
+        ctx = self.bctx
         blocks = tree.leaf_blocks()
-        cost = sum(self.cost_of(b) for b in blocks)
+        cost = sum(map(ctx.cost, blocks))
         fa = fm = 0
         for b in blocks:
-            a, m = self.cons.block_flags(b)
+            a, m = ctx.flags(b)
             fa += a
             fm += m
-        lb = lower_bound(tree, self.bctx, self.cost_of)
-        return _Node(tree, cost, lb, fa, fm, frozen_cost(tree, self.cost_of))
+        lb = lower_bound(tree, ctx)
+        return _Node(tree, cost, lb, fa, frozen_cost(tree, ctx)), fm
 
     def _move_terms(self, block, move):
         """`(costs, floors, d_any, d_mono)` of applying `move` to `block`:
@@ -202,15 +199,16 @@ class _Searcher:
         block's. A move that adds a monotone failure (`d_mono > 0`) makes
         every child it grows infeasible, so its costs and floors are
         None."""
+        ctx = self.bctx
         new = self.space.move_blocks(block, move)
-        flags = [self.cons.block_flags(nb) for nb in new]
-        old_any, old_mono = self.cons.block_flags(block)
+        flags = [ctx.flags(nb) for nb in new]
+        old_any, old_mono = ctx.flags(block)
         d_any = sum(a for a, _ in flags) - old_any
         d_mono = sum(m for _, m in flags) - old_mono
         if d_mono > 0:
             return None, None, d_any, d_mono
-        return (tuple(map(self.cost_of, new)),
-                tuple(map(self.bctx.min_cost, new)), d_any, d_mono)
+        return (tuple(map(ctx.cost, new)),
+                tuple(map(ctx.min_cost, new)), d_any, d_mono)
 
     def _children(self, node: _Node, count_pruned: bool):
         """Score the legal children of `node` without building their trees.
@@ -233,9 +231,9 @@ class _Searcher:
             node.tree = node.parent.apply_move(node.path, node.move)
             node.parent = None
         leaves = node.tree.splittable_leaves()
-        pre, mins = frontier(leaves, self.bctx, self.cost_of, node.frozen)
+        pre, mins = frontier(leaves, self.bctx, node.frozen)
         stats = self.stats
-        fail_any, fail_mono = node.fail_any, node.fail_mono
+        fail_any = node.fail_any
         for i, (path, leaf, ancestry) in enumerate(leaves):
             old = leaf.block
             table = self._tables.get(old.extent)
@@ -254,13 +252,13 @@ class _Searcher:
                 if terms is None:
                     terms = slots[j] = self._move_terms(old, move)
                 costs, floors, d_any, d_mono = terms
-                if fail_mono + d_mono:
+                if d_mono:
                     stats.generated += 1
                     if count_pruned:
                         stats.pruned_infeasible += 1
                     continue
                 if base is None:
-                    base = node.cost - self.cost_of(old)
+                    base = node.cost - self.bctx.cost(old)
                     rest = mins[i + 1:]
                 cost = base
                 for c in costs:
@@ -366,7 +364,7 @@ class _Searcher:
                 return
             if tree is None:
                 tree = cur.tree.apply_move(path, move)
-            cur = _Node(tree, cost, lb, 0, 0, frozen)
+            cur = _Node(tree, cost, lb, 0, frozen)
 
     def _probe(self):
         self.stats.probes += 1
@@ -396,14 +394,14 @@ class _Searcher:
 
     def run(self) -> SearchResult:
         cfg = self.cfg
-        root = self._evaluate(self.space.root_tree())
+        root, root_mono = self._evaluate(self.space.root_tree())
         self.stats.generated += 1
 
-        if root.fail_mono:
+        if root_mono:
             return self._finish("infeasible", drained=False)
 
         if self.seed_tree is not None:
-            seed = self._evaluate(self.seed_tree)
+            seed, _ = self._evaluate(self.seed_tree)
             if seed.fail_any:
                 raise ValueError("seed tree is not feasible")
             if not is_legal(self.seed_tree):
@@ -437,8 +435,8 @@ class _Searcher:
                 tree = self._offer(node.tree, path, move, cost, fa)
                 if cfg.alpha * lb < self.best:
                     parent = node.tree if tree is None else None
-                    self._push(_Node(tree, cost, lb, fa, 0, frozen, parent,
-                                     path, move))
+                    self._push(_Node(tree, cost, lb, fa, frozen, parent, path,
+                                     move))
                 else:
                     self.stats.pruned_bound += 1
                     self.frontier_min = min(self.frontier_min, lb)
@@ -501,14 +499,7 @@ def mondrian_greedy(space: Space, metric: Metric,
     split in any order (no canonical-order restriction); the final tree
     is normalized into canonical form afterwards.
     """
-    costs: dict = {}
-
-    def cost_of(block):
-        c = costs.get(block.extent)
-        if c is None:
-            c = metric.block_cost(block)
-            costs[block.extent] = c
-        return c
+    ctx = BoundContext(space, metric, constraints)
 
     def best_move(block):
         """`(delta, move.id, move, new_blocks)` of the block's best
@@ -516,21 +507,21 @@ def mondrian_greedy(space: Space, metric: Metric,
         best = None
         for move in space.available_moves(block):
             new_blocks = space.move_blocks(block, move)
-            if not all(constraints.block_ok(nb) for nb in new_blocks):
+            if any(ctx.flags(nb)[0] for nb in new_blocks):
                 continue
-            delta = sum(cost_of(nb) for nb in new_blocks) - cost_of(block)
+            delta = sum(map(ctx.cost, new_blocks)) - ctx.cost(block)
             if best is None or (delta, move.id) < best[:2]:
                 best = (delta, move.id, move, new_blocks)
         return best
 
     root = space.root_block
-    if not constraints.feasible([root]):
+    if ctx.flags(root)[0]:
         return GreedyResult(None, INF, False, 0)
     tree = space.root_tree()
     # open block extent -> (path, best move); a step changes one block,
     # so only the blocks it creates are scored
     where = {root.extent: ((), best_move(root))}
-    total = cost_of(root)
+    total = ctx.cost(root)
     steps = 0
     while True:
         cands = [(best[0], best[1], extent)

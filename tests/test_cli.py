@@ -404,3 +404,24 @@ def test_same_outputs_script_smoke():
     assert proc.stdout.splitlines() == [
         "adult3k-dm (700 rows) [--node-limit 200]: "
         "same (partition.json, progress.csv, result.json)"]
+
+
+def test_traced_solve_reaches_every_patched_layer(tmp_path):
+    # perfbench/spans.py wraps library names from outside; a renamed one
+    # would leave its layer at zero calls
+    data, config = write_instance(tmp_path, x_cuts=(0.5, 1, 1.5))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "solve.py"), str(report),
+         "--trace", "--", "search", *base_args(data, config), "--k", "2",
+         "--metric", "dm", "--improve", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = read_json(report)
+    assert doc["rc"] == 0
+    calls = {}
+    for span in doc["spans"]:
+        calls[span["name"]] = calls.get(span["name"], 0) + span["calls"]
+    for name in ("bounds.min_cost", "constraints.block_flags",
+                 "bounds.lower_bound", "partition.apply_move"):
+        assert calls.get(name, 0) > 0, name

@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsearch import dataset as dataset_mod
+from anonsearch.constraints import build_constraints
 from anonsearch.dataset import (CHUNK_ROWS, ConfigError, DataError, Dataset,
                                 load_config, load_dataset, sample_dataset,
                                 taxonomy_from_dict)
+from anonsearch.metrics import make_metric
+from anonsearch.partition import Space
+from anonsearch.search import search
+from anonsearch.splits import generate_splits
 
 from conftest import reference_load_dataset
 
@@ -37,6 +42,25 @@ def test_values_shorthand_builds_flat_taxonomy():
     tax = schema[1].taxonomy
     assert [n.label for n in tax.leaves] == ["a", "b", "c"]
     assert all(n.parent is tax.root for n in tax.leaves)
+
+
+@pytest.mark.parametrize("splits", [{"type": "none"}, {"type": "taxonomy"}])
+def test_single_value_is_a_one_leaf_taxonomy(tmp_path, splits):
+    # a constant column is valid data: it loads and solves, unsplit
+    doc = {"attributes": [BASE["attributes"][0],
+                          {"name": "c", "kind": "categorical", "role": "qi",
+                           "values": ["a"], "splits": splits}]}
+    schema = load_config(doc)
+    tax = schema[1].taxonomy
+    assert tax.n_leaves == 1 and tax.root.is_leaf
+    assert tax.root.label == "a" and tax.leaf_position("a") == 0
+    ds = load_dataset(write(tmp_path, "x,c\n1,a\n2,a\n7,a\n8,a\n"), schema)
+    space = Space(ds, generate_splits(schema, ds))
+    assert [s.attr for s in space.splits.splits] == [0]
+    res = search(space, make_metric("dm", space),
+                 build_constraints(space, k=2))
+    assert (res.status, res.best_cost) == ("optimal", 8)
+    assert [b.extent[1] for b in res.blocks] == [(0, 1), (0, 1)]
 
 
 def test_taxonomy_subtree_ranges_contiguous():
@@ -69,6 +93,9 @@ def test_taxonomy_subtree_ranges_contiguous():
     ({"attributes": [{"name": "x", "kind": "numeric", "domain": [0, 1]},
                      {"name": "x", "kind": "numeric", "domain": [0, 1]}]},
      "duplicate"),
+    *(({"attributes": [{"name": "c", "kind": "categorical", "values": v}]},
+       "attribute 'c': 'values' must be a nonempty list")
+      for v in ([], "ab", "a", None, {"a": 1})),
 ])
 def test_bad_configs(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -114,6 +141,15 @@ def test_load_dataset_ok(tmp_path):
     ("x,c\n1,zzz\n", "column 2 (c): unknown value"),
     ("x,c\n1,\n", "missing value"),
     ("x,c\n1,a\n2,b\n3,zzz\n", ":4: column 2"),
+    # a record after a quoted line break: the line it starts on
+    ('x,c\n"5\n",a\n7,zz\n', ":4: column 2 (c): unknown value 'zz'"),
+    ('x,c\r\n"5\r\n",a\r\n\r\n7,zz\r\n', ":5: column 2 (c): unknown value"),
+    ('x,c\n"1\n\n",a\n\n"2",b\n"3",\n', ":7: column 2 (c): missing value"),
+    ('x,"c\n"\n"1\n",b\n5\n', ":5: expected 2 fields, got 1"),
+    # a fault inside a record of several lines: the line it starts on
+    ('x,c\n1,a\n"5\nx",a\n', ":3: column 1 (x): not a number: '5\\nx'"),
+    ('x,c\n1,a\n2,"b\n"\n3,"a\nc,\nd"\n', ":5: column 2 (c): unknown value"),
+    ('x,c\n"1\n2"\n4,a\n', ":2: expected 2 fields, got 1"),
 ])
 def test_load_dataset_errors(tmp_path, text, fragment):
     schema = load_config(BASE)

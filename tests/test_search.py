@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonsearch.bounds import lower_bound
+from anonsearch.bounds import BoundContext, lower_bound
 from anonsearch.constraints import build_constraints
 from anonsearch.dataset import load_config, sample_dataset
 from anonsearch.metrics import make_metric, theoretical_bound
@@ -52,13 +52,9 @@ def eps_space():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(mode="best")
-    with pytest.raises(ValueError):
         SearchConfig(mode="approx", alpha=0.5)
-    for bad in ("dfs", "lbcost"):
-        with pytest.raises(ValueError):
-            SearchConfig(priority=bad)
-    for bad in ({"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
+    for bad in ({"mode": "best"}, {"priority": "dfs"}, {"priority": "lbcost"},
+                {"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
                 {"time_limit": -0.5}, {"time_limit": math.nan}):
         with pytest.raises(SearchConfigError) as info:
             SearchConfig(**bad)
@@ -226,31 +222,33 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
     stats = searcher.stats
     for i in range(6):
         tree = random_tree(space, rng)
+        node, mono = searcher._evaluate(tree)
+        if mono:   # the search expands no node with a monotone failure
+            continue
         count_pruned = i % 2 == 0
         generated, pruned = stats.generated, stats.pruned_infeasible
-        kids = iter(list(searcher._children(searcher._evaluate(tree),
-                                            count_pruned)))
+        kids = iter(list(searcher._children(node, count_pruned)))
         kid = next(kids, None)
         skipped = 0
         for path, move in legal_moves(tree):
             child = tree.apply_move(path, move)
-            ref = searcher._evaluate(child)
+            ref, ref_mono = searcher._evaluate(child)
             if kid is None or kid[:2] != (path, move):
-                assert ref.fail_mono > 0
+                assert ref_mono > 0
                 skipped += 1
                 continue
             _, _, cost, lb, fa, frozen = kid
             kid = next(kids, None)
-            want = lower_bound(child, searcher.bctx, searcher.cost_of)
+            want = lower_bound(child, searcher.bctx)
             assert lb == want and type(lb) is type(want)
             # the carried prefix is the pre-order sum of the child's
             # frozen leaves, the very float a walk of its leaves gives
             blocks = child.leaf_blocks()
             prefix = 0.0
             for b in blocks[:len(blocks) - len(child.splittable_leaves())]:
-                prefix += searcher.cost_of(b)
+                prefix += searcher.bctx.cost(b)
             assert frozen == prefix and type(frozen) is float
-            assert (fa, 0) == (ref.fail_any, ref.fail_mono)
+            assert (fa, 0) == (ref.fail_any, ref_mono)
             assert cost == pytest.approx(ref.cost, rel=1e-12)
         assert kid is None
         assert stats.generated - generated == skipped
@@ -406,3 +404,107 @@ def test_seeded_search_never_worse(grid_space):
     res = search(grid_space, metric, build_constraints(grid_space, k=2),
                  SearchConfig(node_limit=1), seed_tree=g.tree)
     assert res.best_cost <= g.cost
+
+
+# ---- objects reused across Spaces ----
+
+XS_CFG = {"attributes": [
+    {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 4],
+     "splits": {"type": "explicit", "values": [1, 2, 3]}},
+    {"name": "s", "kind": "categorical", "role": "sensitive",
+     "values": ["a", "b"]},
+]}
+XS = [.5, .5, 1.5, 1.5, 2.5, 2.5, 3.5, 3.5]
+
+
+def xs_space(xs, labels):
+    return build_space(XS_CFG, list(zip(xs, labels)))
+
+
+def reuse_pair(seed):
+    """Two Spaces of one schema with other rows: for seed None the 8-row
+    pair on which a k = 2 set reused from the first once certified 20 on
+    the second, whose optimum is 32; else a random instance and rows
+    drawn afresh for its schema, split by the same specs."""
+    if seed is None:
+        return (xs_space(XS, "abababab"),
+                xs_space([.5, 1.5, 1.5, 1.5, 2.5, 3.5, 3.5, 3.5], "abababab"))
+    rng = random.Random(seed)
+    a = random_instance(rng, snap=0.2)
+    schema = a.dataset.schema
+    rows = []
+    for _ in range(rng.randint(4, 12)):
+        row = []
+        for attr in schema:
+            if attr.is_numeric:
+                row.append(rng.uniform(*attr.domain))
+            else:
+                row.append(rng.choice(attr.taxonomy.leaves).label)
+        rows.append(tuple(row))
+    ds = rows_dataset(schema, rows)
+    return a, Space(ds, generate_splits(schema, ds))
+
+
+def solve_summary(space, metric, cons):
+    res = search(space, metric, cons)
+    g = mondrian_greedy(space, metric, cons)
+    return ((res.status, res.best_cost, res.lower_bound,
+             res.best_tree and res.best_tree.signature(),
+             res.stats.generated, res.stats.expanded),
+            (g.feasible, g.cost, g.steps, g.tree and g.tree.signature()),
+            (res.blocks, g.tree and g.tree.leaf_blocks()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.none(), st.integers(0, 10 ** 6)), st.integers(2, 4),
+       st.sampled_from([None, 1.5, 2.5]))
+@example(None, 2, None)
+def test_reused_constraints_and_metric_solve_another_space(seed, k, length):
+    # a ConstraintSet and a metric that read no Space hold no per-block
+    # state: reused on a second Space of the same schema they must give
+    # what fresh objects give, and a fresh set must accept the result
+    a, b = reuse_pair(seed)
+    numeric = [attr.name for attr in a.qi_schema if attr.is_numeric]
+    lengths = {numeric[0]: length} if numeric and length else None
+    cons = build_constraints(a, k=k, min_lengths=lengths)
+    metric = make_metric("dm", a)
+    solve_summary(a, metric, cons)    # fill whatever the objects keep
+    fresh = build_constraints(b, k=k, min_lengths=lengths)
+    reused = solve_summary(b, metric, cons)
+    want = solve_summary(b, make_metric("dm", b), fresh)
+    assert reused[:2] == want[:2]
+    for blocks in reused[2]:
+        if blocks is not None:
+            assert fresh.feasible(blocks)
+    if (seed, k, lengths) == (None, 2, None):
+        assert want[0][:2] == ("optimal", 32)
+        assert [blk.count for blk in reused[2][0]] == [4, 4]
+
+
+@pytest.mark.parametrize("kind,name,build,want", [
+    # with A's cm metric B was once certified 4, with A's l-diversity set 16
+    ("metric", "cm", lambda s: (make_metric("cm", s),
+                                build_constraints(s)), 0),
+    ("metric", "vm", lambda s: (make_metric("vm", s),
+                                build_constraints(s)), 8.0),
+    ("constraint", "l_diversity", lambda s: (
+        make_metric("dm", s), build_constraints(s, l_div=2)), 32),
+    ("constraint", "t_closeness", lambda s: (
+        make_metric("dm", s), build_constraints(s, t_close=0.5)), 16),
+    ("constraint", "eps_privacy", lambda s: (
+        make_metric("dm", s),
+        build_constraints(s, eps={"eps": 4, "sigma": 1, "b": 1})), 32),
+])
+def test_objects_built_for_another_space_are_refused(kind, name, build, want):
+    a, b = xs_space(XS, "abababab"), xs_space(XS, "aabbaabb")
+    metric, cons = build(a)
+    message = f"{kind} '{name}' was built for another Space"
+    with pytest.raises(ValueError, match=message):
+        BoundContext(b, metric, cons)
+    with pytest.raises(ValueError, match=message):
+        search(b, metric, cons)
+    with pytest.raises(ValueError, match=message):
+        mondrian_greedy(b, metric, cons)
+    BoundContext(a, metric, cons)    # its own Space is fine
+    res = search(b, *build(b))
+    assert (res.status, res.best_cost) == ("optimal", want)
