@@ -8,7 +8,9 @@ per subset of cuts.
 `multi_enumerate` drops the ancestor-id rule and only keeps the pre-order
 growth rule, so the same partition is reached once per admissible
 construction order. It exists to validate the duplicate-free walk and is
-capped to small instances.
+capped to small instances. It carries each order's leaf blocks as a
+pre-order list, not a `PartitionTree`, so it shares only
+`Space.available_moves` and `Space.move_blocks` with the walk it checks.
 """
 
 from __future__ import annotations
@@ -39,20 +41,29 @@ def count_partitions(space: Space, limit=None) -> int:
 
 
 def multi_enumerate(space: Space):
-    """Yield trees under the pre-order growth rule only; a partition shows
-    up once per construction order. Guarded to small split sets."""
+    """Yield the pre-order leaf blocks of every tree grown under the
+    pre-order growth rule only; a partition shows up once per
+    construction order. A move at leaf i puts its blocks in that leaf's
+    place and freezes the leaves before it. Guarded to small split sets."""
     if len(space.splits) > MULTI_LIMIT:
         raise ValueError(f"multi-enumeration is limited to "
                          f"{MULTI_LIMIT} splits")
 
-    def rec(tree: PartitionTree):
-        yield tree
-        for path, leaf, _ in tree.splittable_leaves():
-            for move in space.available_moves(leaf.block):
-                yield from rec(tree.apply_move(path, move))
+    def walk():
+        stack = [([space.root_block], 0)]
+        while stack:
+            leaves, start = stack.pop()
+            yield leaves
+            for i in range(start, len(leaves)):
+                head, tail = leaves[:i], leaves[i + 1:]
+                for move in space.available_moves(leaves[i]):
+                    stack.append((head + space.move_blocks(leaves[i], move)
+                                  + tail, i))
 
-    return rec(space.root_tree())
+    return walk()
 
 
-def distinct_signatures(trees) -> set:
-    return {t.signature() for t in trees}
+def distinct_signatures(leaf_lists) -> set:
+    """The distinct partitions among leaf block lists, each in the form of
+    `PartitionTree.signature()`."""
+    return {tuple(sorted(b.extent for b in leaves)) for leaves in leaf_lists}

@@ -520,12 +520,17 @@ def _canon_chain(space: Space, splits, block, blocks):
                     _canon_chain(space, splits[1:], rb, rest))
 
 
+def canonical_tree(space: Space, blocks) -> PartitionTree:
+    """Canonical legal tree of the partition `blocks` of the whole space:
+    at every node the smallest-id applicable move that all blocks respect
+    sits on top, recursively. A categorical expansion counts as one move
+    with the id of its first cut."""
+    return PartitionTree(space, _canon_node(space, space.root_block, blocks))
+
+
 def normalize(tree: PartitionTree) -> PartitionTree:
-    """Canonical legal tree of the partition: at every node the smallest-id
-    applicable move that all blocks respect sits on top, recursively. A
-    categorical expansion counts as one move with the id of its first cut."""
-    root = _canon_node(tree.space, tree.space.root_block, tree.leaf_blocks())
-    return PartitionTree(tree.space, root)
+    """The canonical tree of `tree`'s partition."""
+    return canonical_tree(tree.space, tree.leaf_blocks())
 
 
 def is_legal(tree: PartitionTree) -> bool:

@@ -66,8 +66,8 @@ from .bounds import BoundContext, frontier, frozen_cost, lower_bound
 from .constraints import ConstraintSet
 from .metrics import Metric, theoretical_bound
 # `legal_moves` is not called here; perfbench/spans.py wraps it by name
-from .partition import (PartitionTree, Space, is_legal, legal_ids,
-                        legal_moves, normalize)
+from .partition import (PartitionTree, Space, canonical_tree, is_legal,
+                        legal_ids, legal_moves)
 
 INF = math.inf
 
@@ -488,55 +488,42 @@ class GreedyResult:
     cost: float
     feasible: bool
     steps: int
-    certified: bool = False
 
 
 def mondrian_greedy(space: Space, metric: Metric,
                     constraints: ConstraintSet) -> GreedyResult:
-    """Steepest-descent splitting: repeatedly apply the move that lowers
-    total cost the most, as long as every produced block passes every
-    constraint; ties break on lowest move id then extent. Blocks may be
-    split in any order (no canonical-order restriction); the final tree
-    is normalized into canonical form afterwards.
+    """Mondrian's top-down splitting (LeFevre, DeWitt & Ramakrishnan,
+    ICDE 2006), one block at a time: a block takes its best move, the
+    lowest `(delta, move.id)` among the moves whose new blocks all pass
+    every constraint, if that does not raise the cost, and its new blocks
+    are split in turn; otherwise it is published. Block costs add, so a
+    block's best move depends on that block alone and the order the
+    blocks are visited in does not matter. `steps` counts the moves
+    applied. The published blocks are laid out as their canonical tree,
+    and the cost is their sum in its pre-order, the float `search` gives
+    that tree.
     """
     ctx = BoundContext(space, metric, constraints)
-
-    def best_move(block):
-        """`(delta, move.id, move, new_blocks)` of the block's best
-        feasible move, or None. Depends on the block alone."""
+    root = space.root_block
+    if ctx.flags(root)[0]:
+        return GreedyResult(None, INF, False, 0)
+    leaves, stack, steps = [], [root], 0
+    while stack:
+        block = stack.pop()
         best = None
+        # moves come in id order, so a tie keeps the lowest id
         for move in space.available_moves(block):
             new_blocks = space.move_blocks(block, move)
             if any(ctx.flags(nb)[0] for nb in new_blocks):
                 continue
             delta = sum(map(ctx.cost, new_blocks)) - ctx.cost(block)
-            if best is None or (delta, move.id) < best[:2]:
-                best = (delta, move.id, move, new_blocks)
-        return best
-
-    root = space.root_block
-    if ctx.flags(root)[0]:
-        return GreedyResult(None, INF, False, 0)
-    tree = space.root_tree()
-    # open block extent -> (path, best move); a step changes one block,
-    # so only the blocks it creates are scored
-    where = {root.extent: ((), best_move(root))}
-    total = ctx.cost(root)
-    steps = 0
-    while True:
-        cands = [(best[0], best[1], extent)
-                 for extent, (_, best) in where.items() if best is not None]
-        if not cands:
-            break
-        delta, _, extent = min(cands)
-        if delta > 0:
-            break
-        path, (_, _, move, new_blocks) = where.pop(extent)
-        tree = tree.apply_move(path, move)
-        for i, nb in enumerate(new_blocks[:-1]):
-            where[nb.extent] = (path + (1,) * i + (0,), best_move(nb))
-        where[new_blocks[-1].extent] = (path + (1,) * len(move.splits),
-                                        best_move(new_blocks[-1]))
-        total += delta
-        steps += 1
-    return GreedyResult(normalize(tree), total, True, steps)
+            if best is None or delta < best[0]:
+                best = (delta, new_blocks)
+        if best is None or best[0] > 0:
+            leaves.append(block)
+        else:
+            stack.extend(best[1])
+            steps += 1
+    tree = canonical_tree(space, leaves)
+    return GreedyResult(tree, sum(map(ctx.cost, tree.leaf_blocks())), True,
+                        steps)

@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
+from anonsearch.bounds import BoundContext
 from anonsearch.dataset import DataError, Dataset, load_config
 from anonsearch.enumeration import enumerate_trees
-from anonsearch.partition import Block, Internal, Leaf, Space
+from anonsearch.partition import Block, Internal, Leaf, Space, normalize
+from anonsearch.search import GreedyResult
 from anonsearch.splits import generate_splits
 
 
@@ -463,6 +465,59 @@ def brute_best(space: Space, metric, cons) -> float:
         if cons.feasible(blocks):
             best = min(best, metric.cost(blocks))
     return best
+
+
+def reference_greedy(space: Space, metric, constraints) -> GreedyResult:
+    """Reference for `mondrian_greedy`: the global step loop it replaced,
+    verbatim but for `math.inf`.
+
+    Steepest-descent splitting: repeatedly apply the move that lowers
+    total cost the most, as long as every produced block passes every
+    constraint; ties break on lowest move id then extent. Blocks may be
+    split in any order (no canonical-order restriction); the final tree
+    is normalized into canonical form afterwards.
+    """
+    ctx = BoundContext(space, metric, constraints)
+
+    def best_move(block):
+        """`(delta, move.id, move, new_blocks)` of the block's best
+        feasible move, or None. Depends on the block alone."""
+        best = None
+        for move in space.available_moves(block):
+            new_blocks = space.move_blocks(block, move)
+            if any(ctx.flags(nb)[0] for nb in new_blocks):
+                continue
+            delta = sum(map(ctx.cost, new_blocks)) - ctx.cost(block)
+            if best is None or (delta, move.id) < best[:2]:
+                best = (delta, move.id, move, new_blocks)
+        return best
+
+    root = space.root_block
+    if ctx.flags(root)[0]:
+        return GreedyResult(None, math.inf, False, 0)
+    tree = space.root_tree()
+    # open block extent -> (path, best move); a step changes one block,
+    # so only the blocks it creates are scored
+    where = {root.extent: ((), best_move(root))}
+    total = ctx.cost(root)
+    steps = 0
+    while True:
+        cands = [(best[0], best[1], extent)
+                 for extent, (_, best) in where.items() if best is not None]
+        if not cands:
+            break
+        delta, _, extent = min(cands)
+        if delta > 0:
+            break
+        path, (_, _, move, new_blocks) = where.pop(extent)
+        tree = tree.apply_move(path, move)
+        for i, nb in enumerate(new_blocks[:-1]):
+            where[nb.extent] = (path + (1,) * i + (0,), best_move(nb))
+        where[new_blocks[-1].extent] = (path + (1,) * len(move.splits),
+                                        best_move(new_blocks[-1]))
+        total += delta
+        steps += 1
+    return GreedyResult(normalize(tree), total, True, steps)
 
 
 def finest_cells(space: Space, block) -> list:

@@ -124,6 +124,22 @@ def test_search_improve_seeds_incumbent(tmp_path):
     assert doc["best_cost"] <= doc["seed_cost"]
 
 
+def test_improved_seed_is_never_worse_than_itself(tmp_path):
+    # the seed's vm cost was once greedy's running sum of deltas, which
+    # came out an ulp above the search's block sum of the same tree
+    subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                        "make_adult_sample.py"),
+                    "--rows", "3000", "--seed", "17", "--out-dir",
+                    str(tmp_path)], check=True, capture_output=True)
+    out = tmp_path / "run"
+    assert main(["search", "--dataset", str(tmp_path / "data.csv"),
+                 "--config", str(tmp_path / "config.json"), "--metric", "vm",
+                 "--k", "50", "--improve", "--node-limit", "3000",
+                 "--out", str(out)]) == 0
+    doc = read_json(out / "result.json")
+    assert doc["best_cost"] <= doc["seed_cost"]
+
+
 def test_search_other_metrics_and_flags(tmp_path):
     data, config = write_instance(tmp_path)
     out1 = tmp_path / "cm"
@@ -408,12 +424,14 @@ def test_same_outputs_script_smoke():
 
 def test_traced_solve_reaches_every_patched_layer(tmp_path):
     # perfbench/spans.py wraps library names from outside; a renamed one
-    # would leave its layer at zero calls
+    # would leave its layer at zero calls. Greedy grows no tree, so the
+    # search must: at k = 2 the root's bound certifies greedy's seed at
+    # once, at k = 3 the search expands nodes
     data, config = write_instance(tmp_path, x_cuts=(0.5, 1, 1.5))
     report = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "solve.py"), str(report),
-         "--trace", "--", "search", *base_args(data, config), "--k", "2",
+         "--trace", "--", "search", *base_args(data, config), "--k", "3",
          "--metric", "dm", "--improve", "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
