@@ -21,17 +21,11 @@ and its finest-refinement cost is the sum of their floors.
 
 The refinable leaves (the frontier) are a pre-order suffix of the
 leaves, so a bound is the exact cost of the frozen prefix plus the
-finest-refinement cost of the frontier, added in pre-order. Growing
-frontier leaf i freezes frontier leaves 0..i-1, puts the move's blocks in
-place of leaf i and keeps the rest. A child's bound therefore follows
-from its parent's `frontier` without walking the child's tree, and so
-does its frozen prefix: `pre[i]`, the parent's frozen prefix plus the
-exact costs of frontier leaves 0..i-1, the very additions a walk of the
-child's leaves would make. `frontier` takes the frontier leaves, found
-by a walk of only the tail of the tree (`splittable_leaves`), and the
-frozen prefix from the caller; the search carries it on each node and
-adds the same terms in the same order, so its bounds equal
-`lower_bound` of the child bit for bit.
+finest-refinement cost of the frontier, added in pre-order: `pre[0]`
+plus `mins` of `frontier`, which reads both off a walk of the tree. The
+search walks only the root's tree: it derives each node's frontier from
+its parent's (`frontiers`) and adds the same terms in the same order,
+so its bounds equal `lower_bound` of the node's tree bit for bit.
 """
 
 from __future__ import annotations
@@ -91,43 +85,34 @@ class BoundContext:
         return total
 
 
-def frontier(leaves, ctx: BoundContext, frozen: float):
-    """The bound terms of a tree from its frontier: `(pre, mins)`.
+def frontier(tree, ctx: BoundContext):
+    """The bound terms of a tree from a walk of its leaves: `(pre, mins)`.
 
-    `leaves` are the tree's refinable leaves in pre-order (the frontier,
-    from `splittable_leaves`), `mins[j]` is the finest-refinement cost of
-    `leaves[j]`, and `pre[j]` is the running pre-order sum of exact leaf
-    costs up to, not including, `leaves[j]`; `pre[-1]` is the exact cost
-    of the whole tree. The frontier is a pre-order suffix of the leaves,
-    so the sum starts at `frozen`, the exact cost of the leaves before it
-    added in pre-order.
+    `mins[j]` is the finest-refinement cost of the tree's j-th refinable
+    leaf in pre-order (from `splittable_leaves`), and `pre[j]` is the
+    running pre-order sum of exact leaf costs of all leaves before it;
+    `pre[0]` is the exact cost of the frozen prefix and `pre[-1]` the
+    exact cost of the whole tree.
     """
-    pre, mins = [], []
-    total = frozen
-    for _, node, _ in leaves:
-        pre.append(total)
-        mins.append(ctx.min_cost(node.block))
-        total += ctx.cost(node.block)
-    pre.append(total)
-    return pre, mins
-
-
-def frozen_cost(tree, ctx: BoundContext) -> float:
-    """Exact cost of the leaves before the frontier, added in pre-order."""
+    leaves = [leaf.block for _, leaf, _ in tree.splittable_leaves()]
     blocks = tree.leaf_blocks()
     total = 0.0
-    for b in blocks[:len(blocks) - len(tree.splittable_leaves())]:
+    for b in blocks[:len(blocks) - len(leaves)]:
         total += ctx.cost(b)
-    return total
+    pre, mins = [], []
+    for b in leaves:
+        pre.append(total)
+        mins.append(ctx.min_cost(b))
+        total += ctx.cost(b)
+    pre.append(total)
+    return pre, mins
 
 
 def lower_bound(tree, ctx: BoundContext) -> float:
     """Lower bound over the partitions reachable from `tree`: the frozen
     prefix at exact cost plus the frontier at finest-refinement cost,
-    added in pre-order. Walks the whole tree; the search carries the
-    frozen prefix instead."""
-    pre, mins = frontier(tree.splittable_leaves(), ctx,
-                         frozen_cost(tree, ctx))
+    added in pre-order."""
+    pre, mins = frontier(tree, ctx)
     total = pre[0]
     for m in mins:
         total += m

@@ -85,9 +85,14 @@ class Internal:
     cuts: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s, lc, rc = self.split, self.left.cuts, self.right.cuts
-        self.cuts = (1 << s.id | lc & s.keep_left | rc & s.keep_right
-                     | lc & rc & s.other_attrs)
+        self.cuts = node_cuts(self.split, self.left.cuts, self.right.cuts)
+
+
+def node_cuts(s: Split, lc: int, rc: int) -> int:
+    """The cut mask of a node splitting by `s` whose tree-left and
+    tree-right children have cut masks `lc` and `rc`."""
+    return (1 << s.id | lc & s.keep_left | rc & s.keep_right
+            | lc & rc & s.other_attrs)
 
 
 class Space:
@@ -293,12 +298,16 @@ class PartitionTree:
         the last head in pre-order, so the walk stops there, having
         visited only the leaves after it and their ancestors.
 
-        A leaf's `ancestry` is what `legal_ids` needs of its ancestors,
-        nearest first, as nested `(free, keep, next)` ending in None.
-        `free` has the splits of attributes other than the ancestor's
-        that are no full cut of its child off the leaf's path; `keep`
-        has the ids above the ancestor's split id if it is a head, and
-        every id (-1) if it is a continuation node.
+        A leaf's `ancestry` is one entry per ancestor, nearest first, as
+        nested `(free, keep, next, split, sib)` ending in None. `split`
+        is the ancestor's split and `sib` the cut mask of its child off
+        the leaf's path. `free` has the splits of attributes other than
+        the ancestor's that are no full cut of that child; `keep` has the
+        ids above the ancestor's split id if it is a head, and every id
+        (-1) if it is a continuation node. `legal_ids` reads `free` and
+        `keep`; with `split` and `sib` the cut masks up a leaf's path can
+        be rebuilt without the tree (`frontiers.Frontiers.grown`). Leaves
+        on the same side of an ancestor share its entry.
         """
         leaves = []
         stack = [None, ((), self.root, None, True)]
@@ -314,15 +323,15 @@ class PartitionTree:
             keep = -(2 << s.id) if head else -1
             if isinstance(left, Internal):
                 stack.append(None)
-            stack.append((path + (0,), left,
-                          (s.other_attrs & ~right.cuts, keep, up), True))
+            stack.append((path + (0,), left, (s.other_attrs & ~right.cuts,
+                                              keep, up, s, right.cuts), True))
             head = not (isinstance(right, Internal) and not s.numeric
                         and not right.split.numeric
                         and right.split.set_id == s.set_id)
             if head and isinstance(right, Internal):
                 stack.append(None)
-            stack.append((path + (1,), right,
-                          (s.other_attrs & ~left.cuts, keep, up), head))
+            stack.append((path + (1,), right, (s.other_attrs & ~left.cuts,
+                                               keep, up, s, left.cuts), head))
         leaves.reverse()
         return leaves
 
@@ -393,7 +402,7 @@ def legal_ids(ancestry, ids) -> int:
     """
     legal = 0
     while ancestry is not None and ids:
-        free, keep, ancestry = ancestry
+        free, keep, ancestry, _, _ = ancestry
         legal |= ids & free
         ids &= ~free & keep
     return legal | ids

@@ -18,52 +18,46 @@ the provable lower bound, and any forced drop voids the certificate.
 The node and time budgets are checked before every expansion and every
 dive step.
 
-Children are scored without building their trees. Expanding a node
-walks only the tail of its tree (`bounds.frontier`): the refinable
-leaves form a pre-order suffix, which `splittable_leaves` finds in
-reverse pre-order, stopping at the last move head. Each node carries
-`frozen`, the exact cost of the leaves before that suffix added in
-pre-order, so `pre[i]`, the exact cost of every leaf before frontier
-leaf i, is `frozen` plus the frontier's costs before i, and `mins` are
-the frontier's finest-refinement costs. Growing frontier leaf i freezes
-the leaves before it, so the child's bound is `pre[i]`, plus the floor
-of each new block, plus `mins[j]` for j > i, added in that order: the
-same float as `lower_bound` of the child's tree. The child's frozen
-leaves are the parent's leaves before leaf i, so its `frozen` is
-`pre[i]`, bit-identical to a sum over its tree. Only a tree evaluated
-from scratch (the root, a seed) has its `frozen` summed from a walk of
-all its leaves; the root's is 0.0. A child's tree is built at once only
-when it becomes the incumbent. Most children are pruned at once; a
-queued child holds its parent's tree, path and move, and its own tree
-is grown only when it is expanded, since many queued nodes are pruned
-or dropped unexpanded.
+A node is held as its frontier, not as a tree: its refinable leaves, a
+pre-order suffix of its leaves, each with its path, the memo of its
+extent (`_Ext`: block, exact cost, floor, moves and child terms), its
+ancestry as `splittable_leaves` gives it, and the depth of its lowest
+common ancestor with the leaf before it; plus `frozen`, the exact cost
+of the leaves before the frontier added in pre-order, and the node's
+lineage: the incumbent's tree is grown from it (`apply_move`) once the
+search ends. Only the root's frontier comes from a tree walk.
 
-The legal children come from one pass over the frontier leaves. The same
-walk that finds them hands out each leaf's ancestry, the cut masks of
-its ancestors' other children, and `partition.legal_ids` decides all of
-a leaf's moves in one walk up it. The same block meets the same move in
-many nodes, so a child's terms are memoized in a table per block extent,
-one slot per available move, the first time a legal move needs them: the
-change in flag counts and, unless the move adds a monotone failure, the
-exact cost and the floor of each new block, in `move_blocks` order. A
-child that fails a monotone constraint is counted where it is reached
-and never scored. Scoring a child is one lookup plus float additions:
-the parent's cost less the old block's, plus each new block's cost;
-`pre[i]`, plus each new floor, plus `mins[j]` for j > i. The stored
-terms are the very floats a block-by-block sum would add, in the same
-order, so costs and bounds stay bit-identical for every metric, vm
-included.
+Expanding a node scores its children without building them. Per leaf i
+one `legal_ids` walk decides all its moves. `pre[i]` is `frozen` plus
+the costs of leaves 0..i-1, and growing leaf i freezes those leaves, so
+a child's bound is `pre[i]`, plus each new block's floor, plus the
+floors of the leaves after i, added in that order: the float
+`lower_bound` gives on the child's tree. A child's terms (flag counts,
+costs and floors of the new blocks) are memoized per extent and move;
+a child that adds a monotone failure is counted and never scored.
+
+A queued child holds its parent's frontier, the leaf's path and the
+move, and derives its own frontier when it is expanded: first the new
+blocks, then the parent's leaves after i. Those keep all but one
+ancestry entry: at its lowest common ancestor with leaf i, the child
+off the path now holds the grown subtree, whose cut mask is rebuilt up
+leaf i's path one level at a time. Its `frozen` is the parent's
+`pre[i]`, the same additions in the same order, so costs and bounds
+stay bit-identical for every metric, vm included. A frontier is freed
+with the last queued child that refers to it.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import time
 from dataclasses import dataclass, field
 
-from .bounds import BoundContext, frontier, frozen_cost, lower_bound
+from .bounds import BoundContext, frontier, lower_bound
 from .constraints import ConstraintSet
+from .frontiers import HEAD, Frontiers
 from .metrics import Metric, theoretical_bound
 # `legal_moves` is not called here; perfbench/spans.py wraps it by name
 from .partition import (PartitionTree, Space, canonical_tree, is_legal,
@@ -139,21 +133,49 @@ class SearchResult:
         return None if self.best_tree is None else self.best_tree.leaf_blocks()
 
 
+class _Ext:
+    """The search's memo of one block extent: the block, its exact and
+    finest-refinement cost and, once a frontier holding it is expanded,
+    its moves, their id bits and each move's `_move_terms` by move id."""
+
+    __slots__ = ("block", "cost", "floor", "moves", "ids", "terms")
+
+    def __init__(self, block, cost, floor):
+        self.block = block
+        self.cost = cost
+        self.floor = floor
+        self.moves = self.ids = self.terms = None
+
+
 @dataclass(slots=True)
 class _Node:
-    """A scored tree. No block of a node violates a monotone constraint:
-    a root with such a block ends the search as infeasible, and a child
-    that adds one is counted and dropped where it is scored."""
-    tree: PartitionTree | None   # None until the node is expanded
+    """A scored tree with no block failing a monotone constraint. `up` is
+    its frontier, or, while `path` is set, its parent's: the node is then
+    the parent grown at `path` by `move`, and its frontier is derived on
+    expansion."""
     cost: float
     lb: float
     fail_any: int     # blocks violating any constraint
-    frozen: float     # exact cost of the leaves before the frontier
-    # a queued child's tree is grown on expansion: parent.apply_move(path,
-    # move); parent is None once the tree exists
-    parent: PartitionTree | None = None
-    path: tuple = ()
+    up: tuple         # (lineage, frozen, path, _Ext, ancestry, lca, ...)
+    path: tuple | None = None
     move: object = None
+
+    def line(self):
+        """The node's lineage, from which `_grow` grows its tree."""
+        if self.path is None:
+            return self.up[0]
+        return (self.up[0], self.path, self.move)
+
+
+def _grow(line) -> PartitionTree:
+    """The tree of a lineage: a tree, or `(line, path, move)`."""
+    steps = []
+    while not isinstance(line, PartitionTree):
+        line, path, move = line
+        steps.append((path, move))
+    for path, move in reversed(steps):
+        line = line.apply_move(path, move)
+    return line
 
 
 class _Searcher:
@@ -164,23 +186,32 @@ class _Searcher:
         self.bctx = BoundContext(space, metric, constraints)
         self.theory = theoretical_bound(metric, space,
                                         constraints.min_block_size())
-        # extent -> (moves, their id bits, each move's child terms or None)
-        self._tables: dict = {}
+        self._exts: dict = {}     # extent -> _Ext
+        self._fronts = Frontiers()
         self.stats = SearchStats()
         self.progress: list = []
         self.best: float = INF
-        self.best_tree = None
+        self.best_line = None     # the incumbent's lineage
         self.frontier_min = INF   # min lb among bound-pruned nodes
         self.dropped_min = INF    # min lb among force-dropped nodes
         self.heap: list = []
         self._seq = 0
         self._t0 = time.monotonic()
 
-    # ---- scoring ----
+    # ---- frontiers ----
+
+    def _ext(self, block) -> _Ext:
+        ext = self._exts.get(block.extent)
+        if ext is None:
+            ctx = self.bctx
+            ext = self._exts[block.extent] = _Ext(block, ctx.cost(block),
+                                                  ctx.min_cost(block))
+        return ext
 
     def _evaluate(self, tree):
-        """`(node, fail_mono)` of a tree scored from scratch: its node,
-        and the number of its blocks violating a monotone constraint."""
+        """`(node, fail_mono)` of a tree scored from a walk of it: its
+        node, and the number of its blocks failing a monotone
+        constraint."""
         ctx = self.bctx
         blocks = tree.leaf_blocks()
         cost = sum(map(ctx.cost, blocks))
@@ -190,75 +221,95 @@ class _Searcher:
             fa += a
             fm += m
         lb = lower_bound(tree, ctx)
-        return _Node(tree, cost, lb, fa, frozen_cost(tree, ctx)), fm
+        head = (tree, frontier(tree, ctx)[0][0])
+        front = self._fronts.of_tree(tree, head, self._ext)
+        return _Node(cost, lb, fa, front), fm
 
-    def _move_terms(self, block, move):
-        """`(costs, floors, d_any, d_mono)` of applying `move` to `block`:
-        exact cost and finest-refinement cost of each new block in
-        `move_blocks` order, and the new blocks' flag counts minus the old
-        block's. A move that adds a monotone failure (`d_mono > 0`) makes
-        every child it grows infeasible, so its costs and floors are
-        None."""
+    def _derive(self, node) -> tuple:
+        """The frontier of a queued node, from its parent's: `frozen` is
+        the parent's `pre[i]`, the same additions in the same order."""
+        front, path, move = node.up, node.path, node.move
+        at = HEAD
+        while front[at] is not path:
+            at += 4
+        frozen = front[1]
+        for x in front[HEAD + 1:at:4]:
+            frozen += x.cost
+        return self._fronts.grown(
+            front, at, move, front[at + 1].terms[move.id][0],
+            ((front[0], path, move), frozen))
+
+    # ---- scoring ----
+
+    def _move_terms(self, ext, move):
+        """`(exts, costs, floors, d_any, d_mono)` of applying `move` to
+        `ext`'s block: the memo, exact cost and finest-refinement cost of
+        each new block in `move_blocks` order, and the new blocks' flag
+        counts minus the old block's. A move that adds a monotone failure
+        (`d_mono > 0`) makes every child it grows infeasible, so its
+        blocks are not scored and the first three are None."""
         ctx = self.bctx
-        new = self.space.move_blocks(block, move)
+        new = self.space.move_blocks(ext.block, move)
         flags = [ctx.flags(nb) for nb in new]
-        old_any, old_mono = ctx.flags(block)
+        old_any, old_mono = ctx.flags(ext.block)
         d_any = sum(a for a, _ in flags) - old_any
         d_mono = sum(m for _, m in flags) - old_mono
         if d_mono > 0:
-            return None, None, d_any, d_mono
-        return (tuple(map(ctx.cost, new)),
-                tuple(map(ctx.min_cost, new)), d_any, d_mono)
+            return None, None, None, d_any, d_mono
+        exts = tuple(map(self._ext, new))
+        return (exts, tuple(x.cost for x in exts),
+                tuple(x.floor for x in exts), d_any, d_mono)
 
     def _children(self, node: _Node, count_pruned: bool):
-        """Score the legal children of `node` without building their trees.
+        """Score the legal children of `node` without building them.
 
         Yields `(path, move, cost, lb, fail_any, frozen)` for each child
         with no block failing a monotone constraint, in the order of
-        `legal_moves(node.tree)`. Each other legal child is counted into
+        `legal_moves` of the node's tree; `frozen` is the child's frozen
+        prefix, `pre[i]`. Each other legal child is counted into
         `stats.generated`, and into `stats.pruned_infeasible` if
-        `count_pruned`, at the point it is reached, so a probe that the
-        consumer runs between two children reads the same count as if
-        the consumer had counted every child itself.
-
-        Per frontier leaf one `legal_ids` walk decides all its moves, and
-        the parent's cost less the leaf's is taken once; per child the
-        memoized terms of `_move_terms` (one table per leaf extent) are
-        added to it, and the bound is summed as the module docstring
-        describes. `frozen` is the child's frozen prefix, `pre[i]`.
+        `count_pruned`, where it is reached, so a probe the consumer runs
+        between two children reads the same count as if the consumer
+        had counted every child itself. A queued node's frontier is
+        derived before the first child, and `node.up` set to it.
         """
-        if node.tree is None:   # a queued child: grow its tree now
-            node.tree = node.parent.apply_move(node.path, node.move)
-            node.parent = None
-        leaves = node.tree.splittable_leaves()
-        pre, mins = frontier(leaves, self.bctx, node.frozen)
+        if node.path is not None:
+            node.up = self._derive(node)
+            node.path = node.move = None
+        front = node.up
+        exts = front[HEAD + 1::4]
+        pre, mins = [], []
+        total = front[1]
+        for ext in exts:
+            pre.append(total)
+            mins.append(ext.floor)
+            total += ext.cost
         stats = self.stats
         fail_any = node.fail_any
-        for i, (path, leaf, ancestry) in enumerate(leaves):
-            old = leaf.block
-            table = self._tables.get(old.extent)
-            if table is None:
-                moves = self.space.available_moves(old)
-                table = (moves, sum(m.bits for m in moves),
-                         [None] * len(moves))
-                self._tables[old.extent] = table
-            moves, ids, slots = table
-            legal = legal_ids(ancestry, ids)
+        for i, (path, ext, ancestry) in enumerate(
+                zip(front[HEAD::4], exts, front[HEAD + 2::4])):
+            moves = ext.moves
+            if moves is None:
+                moves = ext.moves = self.space.available_moves(ext.block)
+                ext.ids = sum(m.bits for m in moves)
+                ext.terms = {}
+            legal = legal_ids(ancestry, ext.ids)
+            table = ext.terms
             base = None
-            for j, move in enumerate(moves):
+            for move in moves:
                 if not legal & move.bits:
                     continue
-                terms = slots[j]
+                terms = table.get(move.id)
                 if terms is None:
-                    terms = slots[j] = self._move_terms(old, move)
-                costs, floors, d_any, d_mono = terms
+                    terms = table[move.id] = self._move_terms(ext, move)
+                _, costs, floors, d_any, d_mono = terms
                 if d_mono:
                     stats.generated += 1
                     if count_pruned:
                         stats.pruned_infeasible += 1
                     continue
                 if base is None:
-                    base = node.cost - self.bctx.cost(old)
+                    base = node.cost - ext.cost
                     rest = mins[i + 1:]
                 cost = base
                 for c in costs:
@@ -279,20 +330,17 @@ class _Searcher:
 
     def _update_incumbent(self, node: _Node):
         if node.fail_any == 0 and node.cost < self.best:
-            self._set_best(node.cost, node.tree)
+            self._set_best(node.cost, node.line())
 
-    def _offer(self, parent_tree, path, move, cost, fail_any):
-        """Make a scored child the incumbent if it is feasible and cheaper.
-        Returns the child's tree, built only in that case, else None."""
-        if fail_any or cost >= self.best:
-            return None
-        tree = parent_tree.apply_move(path, move)
-        self._set_best(cost, tree)
-        return tree
+    def _offer(self, front, path, move, cost, fail_any):
+        """Make a scored child of the node with frontier `front` the
+        incumbent if it is feasible and cheaper."""
+        if not fail_any and cost < self.best:
+            self._set_best(cost, (front[0], path, move))
 
-    def _set_best(self, cost, tree):
+    def _set_best(self, cost, line):
         self.best = cost
-        self.best_tree = tree
+        self.best_line = line
         self._progress_row()
 
     def _progress_row(self):
@@ -351,20 +399,18 @@ class _Searcher:
     def _dive(self, node: _Node):
         cur = node
         while not self._out_of_budget():
-            best = None   # (cost, path, move, lb, frozen, tree or None)
-            for path, move, cost, lb, fa, frozen in self._children(cur, False):
+            best = None   # (cost, lb, path, move)
+            for path, move, cost, lb, fa, _ in self._children(cur, False):
                 self.stats.generated += 1
-                tree = self._offer(cur.tree, path, move, cost, fa)
+                self._offer(cur.up, path, move, cost, fa)
                 if fa == 0 and (best is None or cost < best[0]):
-                    best = (cost, path, move, lb, frozen, tree)
+                    best = (cost, lb, path, move)
             if best is None:
                 return
-            cost, path, move, lb, frozen, tree = best
+            cost, lb, path, move = best
             if cur.fail_any == 0 and cost >= cur.cost:
                 return
-            if tree is None:
-                tree = cur.tree.apply_move(path, move)
-            cur = _Node(tree, cost, lb, 0, frozen)
+            cur = _Node(cost, lb, 0, cur.up, path, move)
 
     def _probe(self):
         self.stats.probes += 1
@@ -430,13 +476,11 @@ class _Searcher:
                 self.frontier_min = min(self.frontier_min, node.lb)
                 continue
             self.stats.expanded += 1
-            for path, move, cost, lb, fa, frozen in self._children(node, True):
+            for path, move, cost, lb, fa, _ in self._children(node, True):
                 self.stats.generated += 1
-                tree = self._offer(node.tree, path, move, cost, fa)
+                self._offer(node.up, path, move, cost, fa)
                 if cfg.alpha * lb < self.best:
-                    parent = node.tree if tree is None else None
-                    self._push(_Node(tree, cost, lb, fa, frozen, parent, path,
-                                     move))
+                    self._push(_Node(cost, lb, fa, node.up, path, move))
                 else:
                     self.stats.pruned_bound += 1
                     self.frontier_min = min(self.frontier_min, lb)
@@ -466,7 +510,8 @@ class _Searcher:
             status = "exhausted"
             certified = False
             guarantee = ratio
-        return SearchResult(status, self.best_tree, self.best, glb, ratio,
+        tree = None if self.best_line is None else _grow(self.best_line)
+        return SearchResult(status, tree, self.best, glb, ratio,
                             certified, guarantee, self.stats, self.progress)
 
 
@@ -477,7 +522,15 @@ def search(space: Space, metric: Metric, constraints: ConstraintSet,
     greedy solution) preloads the incumbent, so the result is never worse
     than the seed."""
     cfg = config or SearchConfig()
-    return _Searcher(space, metric, constraints, cfg, seed_tree).run()
+    # nodes and frontiers form no reference cycles, so the cyclic
+    # collector would only rescan the queue
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Searcher(space, metric, constraints, cfg, seed_tree).run()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---- greedy baseline ----

@@ -424,15 +424,15 @@ def test_same_outputs_script_smoke():
 
 def test_traced_solve_reaches_every_patched_layer(tmp_path):
     # perfbench/spans.py wraps library names from outside; a renamed one
-    # would leave its layer at zero calls. Greedy grows no tree, so the
-    # search must: at k = 2 the root's bound certifies greedy's seed at
-    # once, at k = 3 the search expands nodes
+    # would leave its layer at zero calls. Trees are grown only for a new
+    # incumbent, and greedy finds this instance's optimum, so the search
+    # starts from the root, whose tree it then improves on
     data, config = write_instance(tmp_path, x_cuts=(0.5, 1, 1.5))
     report = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "solve.py"), str(report),
-         "--trace", "--", "search", *base_args(data, config), "--k", "3",
-         "--metric", "dm", "--improve", "--out", str(tmp_path / "out")],
+         "--trace", "--", "search", *base_args(data, config), "--k", "2",
+         "--metric", "dm", "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = read_json(report)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonsearch.constraints import build_constraints
 from anonsearch.enumeration import enumerate_trees
+from anonsearch.metrics import make_metric
 from anonsearch.partition import (Block, Internal, Leaf, PartitionTree, Space,
                                   detect_legal_move, is_legal, legal_moves,
                                   normalize, parent_child_switch)
+from anonsearch.search import SearchConfig, search
 from anonsearch.splits import Move
 
 from conftest import (block_rows, build_space, geometric_is_cut, is_cut,
@@ -345,7 +348,8 @@ def test_trees_from_legal_moves_are_canonical(seed):
 def test_growing_and_normalizing_leave_no_reference_cycles():
     """Trees are freed by reference counting alone: with the cyclic
     collector off, nothing is left for it after `apply_move` and
-    `normalize`."""
+    `normalize`, nor after a search, whose nodes, frontiers and lineages
+    are freed the same way."""
     cfg = {"attributes": [
         {"name": "c", "kind": "categorical", "role": "qi",
          "values": ["p", "q", "r"], "splits": {"type": "taxonomy"}},
@@ -364,6 +368,12 @@ def test_growing_and_normalizing_leave_no_reference_cycles():
             assert isinstance(tree.root, Internal)
             assert gc.collect() == 0
             assert is_legal(tree)
+            assert gc.collect() == 0
+        for config in (SearchConfig(), SearchConfig(max_queue=2)):
+            res = search(space, make_metric("dm", space),
+                         build_constraints(space, k=2), config)
+            assert res.best_tree is not None
+            del res
             assert gc.collect() == 0
     finally:
         gc.enable()

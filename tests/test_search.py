@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonsearch.bounds import BoundContext, lower_bound
+from anonsearch.bounds import BoundContext, frontier, lower_bound
 from anonsearch.constraints import build_constraints
 from anonsearch.dataset import load_config, sample_dataset
 from anonsearch.metrics import make_metric, theoretical_bound
-from anonsearch.partition import Space, is_legal, legal_moves
-from anonsearch.search import (SearchConfig, SearchConfigError, _Searcher,
-                               mondrian_greedy, search)
+from anonsearch.frontiers import HEAD
+from anonsearch.partition import Space, is_legal, legal_ids, legal_moves
+from anonsearch.search import (SearchConfig, SearchConfigError, _grow,
+                               _Node, _Searcher, mondrian_greedy, search)
 from anonsearch.splits import Move, generate_splits
 
 from conftest import (brute_best, build_space, random_instance, random_tree,
@@ -256,6 +258,64 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
             (skipped if count_pruned else 0)
 
 
+def walked_frontier(space, ctx, tree):
+    """Per refinable leaf of `tree`, from walks of the tree: path, extent,
+    ancestry and legal-id mask, then `pre` and `mins`."""
+    leaves = tree.splittable_leaves()
+    pre, mins = frontier(tree, ctx)
+    return ([(path, leaf.block.extent, anc, legal_ids(anc, sum(
+        m.bits for m in space.available_moves(leaf.block))))
+        for path, leaf, anc in leaves], pre[:-1], mins)
+
+
+def derived_frontier(space, front):
+    """The same, read off a frontier the search derived."""
+    exts = front[HEAD + 1::4]
+    pre, total = [], front[1]
+    for x in exts:
+        pre.append(total)
+        total += x.cost
+    return ([(path, x.block.extent, anc, legal_ids(anc, sum(
+        m.bits for m in space.available_moves(x.block))))
+        for path, x, anc in zip(front[HEAD::4], exts, front[HEAD + 2::4])],
+        pre, [x.floor for x in exts])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]))
+def test_derived_frontier_matches_the_grown_tree(seed, name):
+    # a queued node's frontier is derived from its parent's; it must be
+    # the frontier a walk of its tree gives, bit for bit, for every child
+    # of a random tree and every grandchild of one child
+    rng = random.Random(seed)
+    while True:   # draw until a taxonomy expansion is a chain of cuts
+        space = random_instance(rng, total_splits=rng.randint(3, 6))
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            break
+    metric = make_metric(name, space)
+    searcher = _Searcher(space, metric, build_constraints(space, k=2),
+                         SearchConfig())
+    ctx = searcher.bctx
+    tree = random_tree(space, rng)
+    node, _ = searcher._evaluate(tree)
+    assert derived_frontier(space, node.up) == \
+        walked_frontier(space, ctx, tree)
+    kids = []
+    for path, move, cost, lb, fa, _ in list(searcher._children(node, False)):
+        kid = _Node(cost, lb, fa, node.up, path, move)
+        grown = tree.apply_move(path, move)
+        assert derived_frontier(space, searcher._derive(kid)) == \
+            walked_frontier(space, ctx, grown)
+        kids.append((kid, grown))
+    if not kids:
+        return
+    kid, tree = rng.choice(kids)
+    for path, move, cost, lb, fa, _ in list(searcher._children(kid, False)):
+        grandkid = _Node(cost, lb, fa, kid.up, path, move)
+        assert derived_frontier(space, searcher._derive(grandkid)) == \
+            walked_frontier(space, ctx, tree.apply_move(path, move))
+
+
 def test_dm_size_floor_is_the_constraints_min_block_size():
     # the dm bound charges the size floor per tuple of any smaller cell; a
     # floor above the smallest block the constraints allow once exceeded a
@@ -290,7 +350,7 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
 
     def counted(self, node, count_pruned):
         # every legal move of the node is generated, scored or not
-        tree = node.tree or node.parent.apply_move(node.path, node.move)
+        tree = _grow(node.line())
         fanout[0] = max(fanout[0], len(legal_moves(tree)))
         return children(self, node, count_pruned)
 
@@ -395,6 +455,37 @@ def test_seed_must_be_feasible_and_canonical(grid_space):
     with pytest.raises(ValueError, match="canonical"):
         search(grid_space, make_metric("dm", grid_space), cons2,
                seed_tree=noncanon)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_restores_the_collector_state(grid_space, monkeypatch,
+                                             enabled):
+    # the search runs with the cyclic collector off and restores the
+    # caller's state on return and on a raise
+    metric = make_metric("dm", grid_space)
+    cons = build_constraints(grid_space, k=2)
+    bad = grid_space.root_tree().apply_move(
+        (), Move((grid_space.splits.by_id[3],)))
+    bad = bad.apply_move((1,), Move((grid_space.splits.by_id[5],)))
+    during = []
+    run = _Searcher.run
+
+    def recorded(self):
+        during.append(gc.isenabled())
+        return run(self)
+
+    monkeypatch.setattr(_Searcher, "run", recorded)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert search(grid_space, metric, cons).status == "optimal"
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="not feasible"):
+            search(grid_space, metric, cons, seed_tree=bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_seeded_search_never_worse(grid_space):
