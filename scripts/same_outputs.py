@@ -16,7 +16,10 @@ them; `--flags ""` is the workload's flags alone, the only set when no
 word starting with `-`. It compares `result.json` without
 `stats.elapsed_sec`, `partition.json`, and `progress.csv` without its
 `elapsed_ms` column, prints one line per workload and flag set and exits
-1 if any output differs or either run fails.
+1 if any output differs or either run fails. A line that reports a
+difference names, per differing file, where it first differs and both
+values, base first: a key path such as `stats.generated: 100027 !=
+100031`, or a row of `progress.csv` or line of `partition.json`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,50 @@ def outputs(out) -> dict:
         with open(path, newline="") as fh:
             docs["progress.csv"] = [row[1:] for row in csv.reader(fh)]
     return docs
+
+
+class _Missing:
+    def __repr__(self):
+        return "<missing>"
+
+
+MISSING = _Missing()
+
+
+def first_difference(a, b, where=""):
+    """Where `a` and `b` first differ, as `where: a != b`, or None.
+
+    Dicts are walked by sorted key (`stats.generated`), lists by index
+    (`bounds[3]`) and texts of several lines by line (`line 12`, counting
+    from 1); a list at the top is a table, whose first differing row is
+    shown whole (`row 3`, counting from the header, row 0). A key, row
+    or line that only one side has is `<missing>` on the other."""
+    if a == b:
+        return None
+    if isinstance(a, str) and isinstance(b, str) and "\n" in a + b:
+        a, b = a.splitlines(), b.splitlines()
+        for n in range(max(len(a), len(b))):
+            x = a[n] if n < len(a) else MISSING
+            y = b[n] if n < len(b) else MISSING
+            if x != y:
+                return f"line {n + 1}: {x!r} != {y!r}"
+        return "same lines, other line endings"
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys(), key=str):
+            diff = first_difference(a.get(key, MISSING), b.get(key, MISSING),
+                                    f"{where}.{key}" if where else str(key))
+            if diff:
+                return diff
+    if isinstance(a, list) and isinstance(b, list):
+        for n in range(max(len(a), len(b))):
+            x = a[n] if n < len(a) else MISSING
+            y = b[n] if n < len(b) else MISSING
+            if not where and x != y:
+                return f"row {n}: {x!r} != {y!r}"
+            diff = first_difference(x, y, f"{where}[{n}]")
+            if diff:
+                return diff
+    return f"{where}: {a!r} != {b!r}" if where else f"{a!r} != {b!r}"
 
 
 def main(argv=None) -> int:
@@ -115,10 +162,14 @@ def main(argv=None) -> int:
                     print(f"{label}: FAILED ({'; '.join(errors)})")
                     failed = True
                     continue
-                diff = sorted(k for k in got[0].keys() | got[1].keys()
-                              if got[0].get(k) != got[1].get(k))
+                diff = []
+                for key in sorted(got[0].keys() | got[1].keys()):
+                    where = first_difference(got[0].get(key, MISSING),
+                                             got[1].get(key, MISSING))
+                    if where:
+                        diff.append(f"{key}: {where}")
                 if diff:
-                    print(f"{label}: DIFFERENT ({', '.join(diff)})")
+                    print(f"{label}: DIFFERENT ({'; '.join(diff)})")
                     failed = True
                 else:
                     print(f"{label}: same ({', '.join(sorted(got[0]))})")

@@ -27,14 +27,22 @@ of the leaves before the frontier added in pre-order, and the node's
 lineage: the incumbent's tree is grown from it (`apply_move`) once the
 search ends. Only the root's frontier comes from a tree walk.
 
-Expanding a node scores its children without building them. Per leaf i
-one `legal_ids` walk decides all its moves. `pre[i]` is `frozen` plus
-the costs of leaves 0..i-1, and growing leaf i freezes those leaves, so
-a child's bound is `pre[i]`, plus each new block's floor, plus the
-floors of the leaves after i, added in that order: the float
-`lower_bound` gives on the child's tree. A child's terms (flag counts,
-costs and floors of the new blocks) are memoized per extent and move;
-a child that adds a monotone failure is counted and never scored.
+Expanding a node scores its children without building them, one
+frontier leaf at a time (`_expand`, for the main loop and the probe's
+dive). Per leaf i one `legal_ids` walk decides all its moves; the
+leaf's move table (`_Ext`) holds each legal move's child terms, or
+marks the move `bad`: its child adds a monotone failure and is counted,
+never scored. `pre[i]` is `frozen` plus the costs of leaves 0..i-1, and
+growing leaf i freezes those leaves, so a child's bound is `pre[i]`,
+plus each new block's floor, plus the floors of the leaves after i,
+added in that order: the float `lower_bound` gives on the child's tree.
+The new blocks split leaf i's finest cells, so when these sums are
+exact (whole costs and floors, as for dm and cm) all children of leaf i
+share one bound, and a leaf whose shared bound reaches the incumbent is
+counted and pruned in one step. Otherwise each child is scored, offered
+and pushed in `legal_moves` order, the bad moves counted where that
+order reaches them, so a probe run between two pushes reads the same
+counts.
 
 A queued child holds its parent's frontier, the leaf's path and the
 move, and derives its own frontier when it is expanded: first the new
@@ -54,6 +62,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .bounds import BoundContext, frontier, lower_bound
 from .constraints import ConstraintSet
@@ -64,6 +73,11 @@ from .partition import (PartitionTree, Space, canonical_tree, is_legal,
                         legal_ids, legal_moves)
 
 INF = math.inf
+
+
+def _whole(x) -> bool:
+    """Whether `x` is a non-negative whole number."""
+    return x >= 0 and x % 1 == 0
 
 
 class SearchConfigError(ValueError):
@@ -136,15 +150,21 @@ class SearchResult:
 class _Ext:
     """The search's memo of one block extent: the block, its exact and
     finest-refinement cost and, once a frontier holding it is expanded,
-    its moves, their id bits and each move's `_move_terms` by move id."""
+    its moves, their id bits and its move table: `known` has the bits of
+    the moves filled in (`_fill`), `bad` those whose child adds a
+    monotone failure, and `terms` maps each other filled move's id to
+    `(exts, costs, floors, d_any)` of its new blocks in `move_blocks`
+    order, `d_any` their any-failure count minus the old block's."""
 
-    __slots__ = ("block", "cost", "floor", "moves", "ids", "terms")
+    __slots__ = ("block", "cost", "floor", "moves", "ids", "terms", "known",
+                 "bad")
 
     def __init__(self, block, cost, floor):
         self.block = block
         self.cost = cost
         self.floor = floor
         self.moves = self.ids = self.terms = None
+        self.known = self.bad = 0
 
 
 @dataclass(slots=True)
@@ -196,6 +216,10 @@ class _Searcher:
         self.dropped_min = INF    # min lb among force-dropped nodes
         self.heap: list = []
         self._seq = 0
+        self._by_cost = config.priority == "cost"
+        # every cost and floor met so far is a whole number, and every
+        # filled move's floors add up to its block's: see `_expand`
+        self._exact = True
         self._t0 = time.monotonic()
 
     # ---- frontiers ----
@@ -206,6 +230,8 @@ class _Searcher:
             ctx = self.bctx
             ext = self._exts[block.extent] = _Ext(block, ctx.cost(block),
                                                   ctx.min_cost(block))
+            if not (_whole(ext.cost) and _whole(ext.floor)):
+                self._exact = False
         return ext
 
     def _evaluate(self, tree):
@@ -241,37 +267,41 @@ class _Searcher:
 
     # ---- scoring ----
 
-    def _move_terms(self, ext, move):
-        """`(exts, costs, floors, d_any, d_mono)` of applying `move` to
-        `ext`'s block: the memo, exact cost and finest-refinement cost of
-        each new block in `move_blocks` order, and the new blocks' flag
-        counts minus the old block's. A move that adds a monotone failure
-        (`d_mono > 0`) makes every child it grows infeasible, so its
-        blocks are not scored and the first three are None."""
+    def _fill(self, ext, ids):
+        """Fill `ext`'s move table for its moves with bits in `ids`."""
         ctx = self.bctx
-        new = self.space.move_blocks(ext.block, move)
-        flags = [ctx.flags(nb) for nb in new]
         old_any, old_mono = ctx.flags(ext.block)
-        d_any = sum(a for a, _ in flags) - old_any
-        d_mono = sum(m for _, m in flags) - old_mono
-        if d_mono > 0:
-            return None, None, None, d_any, d_mono
-        exts = tuple(map(self._ext, new))
-        return (exts, tuple(x.cost for x in exts),
-                tuple(x.floor for x in exts), d_any, d_mono)
+        for move in ext.moves:
+            if not ids & move.bits:
+                continue
+            new = self.space.move_blocks(ext.block, move)
+            flags = [ctx.flags(nb) for nb in new]
+            if sum(m for _, m in flags) > old_mono:
+                ext.bad |= move.bits
+                continue
+            exts = tuple(map(self._ext, new))
+            floors = tuple(x.floor for x in exts)
+            if sum(floors) != ext.floor:
+                self._exact = False
+            ext.terms[move.id] = (exts, tuple(x.cost for x in exts), floors,
+                                  sum(a for a, _ in flags) - old_any)
+        ext.known |= ids
 
-    def _children(self, node: _Node, count_pruned: bool):
+    def _expand(self, node: _Node, dive=False):
         """Score the legal children of `node` without building them.
 
-        Yields `(path, move, cost, lb, fail_any, frozen)` for each child
-        with no block failing a monotone constraint, in the order of
-        `legal_moves` of the node's tree; `frozen` is the child's frozen
-        prefix, `pre[i]`. Each other legal child is counted into
-        `stats.generated`, and into `stats.pruned_infeasible` if
-        `count_pruned`, where it is reached, so a probe the consumer runs
-        between two children reads the same count as if the consumer
-        had counted every child itself. A queued node's frontier is
-        derived before the first child, and `node.up` set to it.
+        Each child with no block failing a monotone constraint is
+        counted into `stats.generated` and offered as the incumbent; in
+        the main loop it is then pushed while alpha times its bound stays
+        below the incumbent and bound-pruned otherwise, while a `dive`
+        returns the cheapest feasible child as `(cost, lb, path, move)`,
+        the first of equals, or None. Each other legal child is counted
+        into `generated`, and outside a dive into `pruned_infeasible`,
+        before the next scored child of its leaf, so a probe run inside
+        `_push` reads the counts of scoring every child in `legal_moves`
+        order. Outside a dive, a leaf whose children share a bound at or
+        above the incumbent is counted and pruned whole. A queued node's
+        frontier is derived first, and `node.up` set to it.
         """
         if node.path is not None:
             node.up = self._derive(node)
@@ -284,59 +314,93 @@ class _Searcher:
             pre.append(total)
             mins.append(ext.floor)
             total += ext.cost
+        # `suf[i]`, the floors from leaf i on, bounds every child of leaf
+        # i with `pre[i]` when every term is a whole number and no sum
+        # reaches 2**53, so that all these additions are exact
+        suf = None
+        if self._exact and mins and _whole(front[1]):
+            suf = list(accumulate(reversed(mins)))[::-1]
+            if total + suf[0] >= 2 ** 53:
+                suf = None
         stats = self.stats
-        fail_any = node.fail_any
+        alpha = self.cfg.alpha
+        pick = None
         for i, (path, ext, ancestry) in enumerate(
                 zip(front[HEAD::4], exts, front[HEAD + 2::4])):
-            moves = ext.moves
-            if moves is None:
+            if ext.moves is None:
                 moves = ext.moves = self.space.available_moves(ext.block)
                 ext.ids = sum(m.bits for m in moves)
                 ext.terms = {}
             legal = legal_ids(ancestry, ext.ids)
-            table = ext.terms
-            base = None
-            for move in moves:
-                if not legal & move.bits:
+            if not legal:
+                continue
+            if legal & ~ext.known:
+                self._fill(ext, legal & ~ext.known)
+            bad = legal & ext.bad
+            live = legal ^ bad
+            rest = None
+            if suf is not None and self._exact:
+                lb = pre[i] + suf[i]
+                if lb >= self.best and not dive:
+                    # nothing to offer: a feasible child costs at least
+                    # its bound
+                    stats.generated += legal.bit_count()
+                    stats.pruned_infeasible += bad.bit_count()
+                    if live:
+                        stats.pruned_bound += live.bit_count()
+                        self.frontier_min = min(self.frontier_min, lb)
                     continue
-                terms = table.get(move.id)
-                if terms is None:
-                    terms = table[move.id] = self._move_terms(ext, move)
-                _, costs, floors, d_any, d_mono = terms
-                if d_mono:
-                    stats.generated += 1
-                    if count_pruned:
-                        stats.pruned_infeasible += 1
+            else:
+                rest = mins[i + 1:]
+            counted = 0
+            base = node.cost - ext.cost
+            terms = ext.terms
+            for move in ext.moves:
+                if not live:
+                    break
+                bits = move.bits
+                if not live & bits:
                     continue
-                if base is None:
-                    base = node.cost - ext.cost
-                    rest = mins[i + 1:]
+                if bad and not dive:
+                    before = (bad & (bits - 1)).bit_count()
+                    if before > counted:
+                        stats.generated += before - counted
+                        stats.pruned_infeasible += before - counted
+                        counted = before
+                _, costs, floors, d_any = terms[move.id]
                 cost = base
                 for c in costs:
                     cost += c
-                lb = pre[i]
-                for floor in floors:
-                    lb += floor
-                for floor in rest:
-                    lb += floor
-                yield (path, move, cost, lb, fail_any + d_any, pre[i])
-
-    def _key(self, node: _Node):
-        if self.cfg.priority == "cost":
-            return (node.cost, node.lb)
-        return (node.lb, node.cost)
+                if rest is not None:
+                    lb = pre[i]
+                    for floor in floors:
+                        lb += floor
+                    for floor in rest:
+                        lb += floor
+                fa = node.fail_any + d_any
+                stats.generated += 1
+                if not fa and cost < self.best:
+                    self._set_best(cost, (front[0], path, move))
+                if dive:
+                    if not fa and (pick is None or cost < pick[0]):
+                        pick = (cost, lb, path, move)
+                elif alpha * lb < self.best:
+                    self._push(_Node(cost, lb, fa, front, path, move))
+                else:
+                    stats.pruned_bound += 1
+                    self.frontier_min = min(self.frontier_min, lb)
+                live ^= bits
+            if bad:
+                stats.generated += bad.bit_count() - counted
+                if not dive:
+                    stats.pruned_infeasible += bad.bit_count() - counted
+        return pick
 
     # ---- incumbent / bookkeeping ----
 
     def _update_incumbent(self, node: _Node):
         if node.fail_any == 0 and node.cost < self.best:
             self._set_best(node.cost, node.line())
-
-    def _offer(self, front, path, move, cost, fail_any):
-        """Make a scored child of the node with frontier `front` the
-        incumbent if it is feasible and cheaper."""
-        if not fail_any and cost < self.best:
-            self._set_best(cost, (front[0], path, move))
 
     def _set_best(self, cost, line):
         self.best = cost
@@ -390,24 +454,23 @@ class _Searcher:
         self._seq += 1
         # flat (key..., seq, node): no key tuple per entry; seq is unique,
         # so the node is never compared
-        heapq.heappush(self.heap, (*self._key(node), self._seq, node))
-        self.stats.max_queue_seen = max(self.stats.max_queue_seen,
-                                        len(self.heap))
+        if self._by_cost:
+            entry = (node.cost, node.lb, self._seq, node)
+        else:
+            entry = (node.lb, node.cost, self._seq, node)
+        heapq.heappush(self.heap, entry)
+        if len(self.heap) > self.stats.max_queue_seen:
+            self.stats.max_queue_seen = len(self.heap)
 
     # ---- probe: incumbent dive + queue reduction ----
 
     def _dive(self, node: _Node):
         cur = node
         while not self._out_of_budget():
-            best = None   # (cost, lb, path, move)
-            for path, move, cost, lb, fa, _ in self._children(cur, False):
-                self.stats.generated += 1
-                self._offer(cur.up, path, move, cost, fa)
-                if fa == 0 and (best is None or cost < best[0]):
-                    best = (cost, lb, path, move)
-            if best is None:
+            pick = self._expand(cur, dive=True)
+            if pick is None:
                 return
-            cost, lb, path, move = best
+            cost, lb, path, move = pick
             if cur.fail_any == 0 and cost >= cur.cost:
                 return
             cur = _Node(cost, lb, 0, cur.up, path, move)
@@ -416,25 +479,26 @@ class _Searcher:
         self.stats.probes += 1
         if self.heap:
             self._dive(self.heap[0][-1])
-        alive = []
-        for entry in self.heap:
-            node = entry[-1]
-            if self.cfg.alpha * node.lb < self.best:
-                alive.append(entry)
-            else:
-                self.stats.pruned_bound += 1
-                self.frontier_min = min(self.frontier_min, node.lb)
-        self.heap = alive
+        alpha, best, heap = self.cfg.alpha, self.best, self.heap
+        alive = [e for e in heap if alpha * e[-1].lb < best]
+        if len(alive) < len(heap):
+            self.stats.pruned_bound += len(heap) - len(alive)
+            self.frontier_min = min(self.frontier_min, *(
+                e[-1].lb for e in heap if not alpha * e[-1].lb < best))
+        # entries are (key, key, seq, node) with a unique seq, so they sort
+        # by key; the 10% rounds drop one tail of that order
         half = max(1, self.cfg.max_queue // 2)
-        if len(self.heap) > half:
-            self.heap.sort(key=lambda e: e[:-1])
-            while len(self.heap) > half:
-                k = max(1, len(self.heap) // 10)
-                for entry in self.heap[-k:]:
-                    self.dropped_min = min(self.dropped_min, entry[-1].lb)
-                    self.stats.forced_drops += 1
-                del self.heap[-k:]
-        heapq.heapify(self.heap)
+        n = len(alive)
+        while n > half:
+            n -= max(1, n // 10)
+        if n < len(alive):
+            alive.sort()
+            self.stats.forced_drops += len(alive) - n
+            self.dropped_min = min(self.dropped_min,
+                                   *(e[-1].lb for e in alive[n:]))
+            del alive[n:]
+        heapq.heapify(alive)
+        self.heap = alive
 
     # ---- main loop ----
 
@@ -476,14 +540,7 @@ class _Searcher:
                 self.frontier_min = min(self.frontier_min, node.lb)
                 continue
             self.stats.expanded += 1
-            for path, move, cost, lb, fa, _ in self._children(node, True):
-                self.stats.generated += 1
-                self._offer(node.up, path, move, cost, fa)
-                if cfg.alpha * lb < self.best:
-                    self._push(_Node(cost, lb, fa, node.up, path, move))
-                else:
-                    self.stats.pruned_bound += 1
-                    self.frontier_min = min(self.frontier_min, lb)
+            self._expand(node)
 
         return self._finish("drained", drained=not budget_hit)
 

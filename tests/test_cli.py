@@ -422,6 +422,35 @@ def test_same_outputs_script_smoke():
         "same (partition.json, progress.csv, result.json)"]
 
 
+def test_same_outputs_names_the_first_difference(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from same_outputs import first_difference
+    result = {"status": "exhausted",
+              "stats": {"expanded": 2350, "generated": 100027}}
+    assert first_difference(result, json.loads(json.dumps(result))) is None
+    other = {**result, "stats": {"expanded": 2351, "generated": 100031}}
+    assert first_difference(result, other) == "stats.expanded: 2350 != 2351"
+    assert first_difference(result, {"status": "exhausted"}) == \
+        "stats: {'expanded': 2350, 'generated': 100027} != <missing>"
+    assert first_difference({"b": [1, 2, 3]}, {"b": [1, 2.5, 3]}) == \
+        "b[1]: 2 != 2.5"
+    # progress.csv rows: the first differing row is shown whole
+    header = ["best_cost", "lower_bound", "ratio", "queue"]
+    rows = [header, ["464428", "274104.0", "1.69", "1"],
+            ["464000", "274104.0", "1.69", "9"]]
+    assert first_difference(rows, rows[:2] + [rows[2][:3] + ["8"]]) == \
+        "row 2: ['464000', '274104.0', '1.69', '9'] != " \
+        "['464000', '274104.0', '1.69', '8']"
+    assert first_difference(rows[:2], rows) == \
+        "row 2: <missing> != ['464000', '274104.0', '1.69', '9']"
+    # partition.json text: the first differing line
+    assert first_difference('{\n  "a": 1,\n  "b": 2\n}\n',
+                            '{\n  "a": 1,\n  "b": 3\n}\n') == \
+        "line 3: '  \"b\": 2' != '  \"b\": 3'"
+    assert first_difference("a\nb\n", "a\nb") == \
+        "same lines, other line endings"
+
+
 def test_traced_solve_reaches_every_patched_layer(tmp_path):
     # perfbench/spans.py wraps library names from outside; a renamed one
     # would leave its layer at zero calls. Trees are grown only for a new

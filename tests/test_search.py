@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from anonsearch.bounds import BoundContext, frontier, lower_bound
 from anonsearch.constraints import build_constraints
 from anonsearch.dataset import load_config, sample_dataset
-from anonsearch.metrics import make_metric, theoretical_bound
+from anonsearch.metrics import Metric, make_metric, theoretical_bound
 from anonsearch.frontiers import HEAD
 from anonsearch.partition import Space, is_legal, legal_ids, legal_moves
 from anonsearch.search import (SearchConfig, SearchConfigError, _grow,
-                               _Node, _Searcher, mondrian_greedy, search)
+                               _Searcher, mondrian_greedy, search)
 from anonsearch.splits import Move, generate_splits
 
 from conftest import (brute_best, build_space, random_instance, random_tree,
@@ -201,6 +201,20 @@ def test_deterministic_reruns(tax_space):
         (b.stats.generated, b.stats.expanded, b.stats.pruned_bound)
 
 
+def pushed_children(searcher, node, dive=False):
+    """Expand `node` with no incumbent and offers not taken, so the main
+    loop pushes every child without a monotone failure: the pushed
+    `(path, move, cost, lb, fail_any, node)` in push order, and what
+    `_expand` returned."""
+    searcher.best, searcher.heap = math.inf, []
+    searcher._set_best = lambda cost, line: None
+    pick = searcher._expand(node, dive)
+    entries = sorted(searcher.heap, key=lambda e: e[2])
+    searcher.heap = []
+    return [(k.path, k.move, k.cost, k.lb, k.fail_any, k)
+            for *_, k in entries], pick
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]))
 @example(33, "vm")
@@ -211,8 +225,9 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
     # bound must be the very float lower_bound gives on the child's tree.
     # The vm examples are instances where adding the frontier suffix in
     # another order (e.g. a precomputed suffix sum) changes the last ulp.
-    # Every legal move is yielded, in legal_moves order, or counted
-    # unscored because the child fails a monotone constraint.
+    # Every legal move is pushed, in legal_moves order, or counted
+    # unscored because the child fails a monotone constraint; a dive
+    # counts the same and picks the first cheapest feasible child.
     rng = random.Random(seed)
     while True:   # draw until a taxonomy expansion is a chain of cuts
         space = random_instance(rng, total_splits=rng.randint(3, 6))
@@ -222,14 +237,14 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
     cons = build_constraints(space, k=2, l_div=rng.choice([None, 1.5]))
     searcher = _Searcher(space, metric, cons, SearchConfig())
     stats = searcher.stats
-    for i in range(6):
+    for _ in range(6):
         tree = random_tree(space, rng)
         node, mono = searcher._evaluate(tree)
         if mono:   # the search expands no node with a monotone failure
             continue
-        count_pruned = i % 2 == 0
         generated, pruned = stats.generated, stats.pruned_infeasible
-        kids = iter(list(searcher._children(node, count_pruned)))
+        pushed, _ = pushed_children(searcher, node)
+        kids = iter(pushed)
         kid = next(kids, None)
         skipped = 0
         for path, move in legal_moves(tree):
@@ -239,7 +254,7 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
                 assert ref_mono > 0
                 skipped += 1
                 continue
-            _, _, cost, lb, fa, frozen = kid
+            _, _, cost, lb, fa, queued = kid
             kid = next(kids, None)
             want = lower_bound(child, searcher.bctx)
             assert lb == want and type(lb) is type(want)
@@ -249,13 +264,122 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
             prefix = 0.0
             for b in blocks[:len(blocks) - len(child.splittable_leaves())]:
                 prefix += searcher.bctx.cost(b)
+            frozen = searcher._derive(queued)[1]
             assert frozen == prefix and type(frozen) is float
             assert (fa, 0) == (ref.fail_any, ref_mono)
             assert cost == pytest.approx(ref.cost, rel=1e-12)
         assert kid is None
-        assert stats.generated - generated == skipped
-        assert stats.pruned_infeasible - pruned == \
-            (skipped if count_pruned else 0)
+        assert stats.generated - generated == len(pushed) + skipped
+        assert stats.pruned_infeasible - pruned == skipped
+        # a dive scores the same children, counts the skipped ones into
+        # generated only, and picks the first cheapest feasible child
+        generated, pruned = stats.generated, stats.pruned_infeasible
+        dived, pick = pushed_children(searcher, searcher._evaluate(tree)[0],
+                                      dive=True)
+        assert dived == []
+        assert stats.generated - generated == len(pushed) + skipped
+        assert stats.pruned_infeasible == pruned
+        feasible = [(cost, lb, path, move)
+                    for path, move, cost, lb, fa, _ in pushed if fa == 0]
+        assert pick == min(feasible, key=lambda k: k[0], default=None)
+
+
+class FractionalMetric(Metric):
+    """A metric whose costs and floors are not whole numbers, so the
+    search may not share a bound between a leaf's children. Its
+    `theoretical_bound` is cm's 0, which holds for any non-negative
+    metric."""
+
+    name = "cm"
+
+    def block_cost(self, block):
+        return block.count * block.count / 3 + block.count / 10
+
+
+def reference_expansion(searcher, tree, node, best, alpha):
+    """What expanding `node` (the tree `tree`) must do with incumbent
+    `best`, one child at a time in `legal_moves` order from the trees
+    `apply_move` grows: `(generated, pruned_bound, pruned_infeasible,
+    frontier_min)` and, per pushed child, the children generated up to
+    it and its `(path, move, cost, lb, fail_any)`."""
+    ctx = searcher.bctx
+    blocks = {path: leaf.block for path, leaf, _ in tree.splittable_leaves()}
+    generated = pruned = infeasible = 0
+    least = math.inf
+    pushed = []
+    for path, move in legal_moves(tree):
+        child = tree.apply_move(path, move)
+        flags = [ctx.flags(b) for b in child.leaf_blocks()]
+        generated += 1
+        if any(mono for _, mono in flags):
+            infeasible += 1
+            continue
+        cost = node.cost - ctx.cost(blocks[path])
+        for b in searcher.space.move_blocks(blocks[path], move):
+            cost += ctx.cost(b)
+        lb = lower_bound(child, ctx)
+        fail_any = sum(a for a, _ in flags)
+        if not fail_any and cost < best:
+            best = cost
+        if alpha * lb < best:
+            pushed.append((generated, (path, move, cost, lb, fail_any)))
+        else:
+            pruned += 1
+            least = min(least, lb)
+    return (generated, pruned, infeasible, least), pushed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm", "frac"]),
+       st.sampled_from([1.0, 1.3]))
+def test_expansion_matches_a_per_child_reference(seed, name, alpha):
+    # with an incumbent between the children's least and greatest bound,
+    # an expansion prunes whole leaves in one step where their shared
+    # bound allows (dm, cm) and scores child by child otherwise (vm and
+    # fractional costs); either way its counts, its frontier_min, what
+    # it pushes and the generated count each push sees must be those of
+    # scoring every child in legal_moves order, bit for bit
+    rng = random.Random(seed)
+    while True:   # draw until a taxonomy expansion is a chain of cuts
+        space = random_instance(rng, total_splits=rng.randint(4, 7),
+                                rows_range=(8, 30))
+        if any(len(m.splits) > 1 for m in space.splits.expansions.values()):
+            break
+    metric = (FractionalMetric() if name == "frac"
+              else make_metric(name, space))
+    cons = build_constraints(space, k=rng.choice([2, 3, 4]),
+                             l_div=rng.choice([None, 1.5]))
+    cfg = SearchConfig(mode="approx", alpha=alpha)
+    for _ in range(8):
+        tree = random_tree(space, rng)
+        searcher = _Searcher(space, metric, cons, cfg)
+        node, mono = searcher._evaluate(tree)
+        if mono:   # the search expands no node with a monotone failure
+            continue
+        bounds = [lower_bound(tree.apply_move(path, move), searcher.bctx)
+                  for path, move in legal_moves(tree)]
+        if not bounds:
+            continue
+        lo, hi = min(bounds), max(bounds)
+        best = rng.choice([lo, hi, rng.choice(bounds), (lo + hi) / 2])
+        want = reference_expansion(searcher, tree, node, best, alpha)
+        searcher.best = best
+        seen = []
+        push = searcher._push
+
+        def recorded(kid):
+            seen.append((searcher.stats.generated, (
+                kid.path, kid.move, kid.cost, kid.lb, kid.fail_any)))
+            push(kid)
+
+        searcher._push = recorded
+        assert searcher._expand(node) is None
+        s = searcher.stats
+        got = (s.generated, s.pruned_bound, s.pruned_infeasible,
+               searcher.frontier_min)
+        assert (got, seen) == want
+        for (_, a), (_, b) in zip(seen, want[1]):
+            assert [type(x) for x in a] == [type(x) for x in b]
 
 
 def walked_frontier(space, ctx, tree):
@@ -301,8 +425,7 @@ def test_derived_frontier_matches_the_grown_tree(seed, name):
     assert derived_frontier(space, node.up) == \
         walked_frontier(space, ctx, tree)
     kids = []
-    for path, move, cost, lb, fa, _ in list(searcher._children(node, False)):
-        kid = _Node(cost, lb, fa, node.up, path, move)
+    for path, move, _, _, _, kid in pushed_children(searcher, node)[0]:
         grown = tree.apply_move(path, move)
         assert derived_frontier(space, searcher._derive(kid)) == \
             walked_frontier(space, ctx, grown)
@@ -310,8 +433,7 @@ def test_derived_frontier_matches_the_grown_tree(seed, name):
     if not kids:
         return
     kid, tree = rng.choice(kids)
-    for path, move, cost, lb, fa, _ in list(searcher._children(kid, False)):
-        grandkid = _Node(cost, lb, fa, kid.up, path, move)
+    for path, move, _, _, _, grandkid in pushed_children(searcher, kid)[0]:
         assert derived_frontier(space, searcher._derive(grandkid)) == \
             walked_frontier(space, ctx, tree.apply_move(path, move))
 
@@ -346,15 +468,15 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
     # like the main loop, so the overshoot stays within one expansion
     space = probe_space()
     fanout = [0]
-    children = _Searcher._children
+    expand = _Searcher._expand
 
-    def counted(self, node, count_pruned):
+    def counted(self, node, dive=False):
         # every legal move of the node is generated, scored or not
         tree = _grow(node.line())
         fanout[0] = max(fanout[0], len(legal_moves(tree)))
-        return children(self, node, count_pruned)
+        return expand(self, node, dive)
 
-    monkeypatch.setattr(_Searcher, "_children", counted)
+    monkeypatch.setattr(_Searcher, "_expand", counted)
     probed = False
     for limit in range(50, 2000, 37):
         res = search(space, make_metric("cm", space),
@@ -366,10 +488,15 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
     assert probed
 
 
-# (metric, max_queue, node_limit) -> (best_cost, lower_bound, generated,
-# expanded, pruned_bound, pruned_infeasible, probes, forced_drops), as
-# reported by the search that scored every child; skipping the children
-# that fail a monotone constraint unscored must not move any of them
+# (metric, max_queue, node_limit, *other SearchConfig fields) ->
+# (best_cost, lower_bound, generated, expanded, pruned_bound,
+# pruned_infeasible, probes, forced_drops), as reported by the search that
+# scored every child; skipping the children that fail a monotone
+# constraint unscored, or a whole leaf whose shared bound reaches the
+# incumbent, must not move any of them. The approx and cost-priority rows
+# were recorded before either skip existed.
+APPROX = (("mode", "approx"), ("alpha", 1.3))
+BY_COST = (("priority", "cost"),)
 PINNED_COUNTS = {
     ("cm", 50, 400): (455, 425.0, 416, 17, 64, 54, 3, 55),
     ("cm", 50, 1500): (455, 425.0, 1506, 59, 92, 236, 14, 341),
@@ -381,6 +508,22 @@ PINNED_COUNTS = {
     ("dm", 20, 900): (43710, 15105.0, 910, 23, 52, 110, 13, 126),
     ("dm", 8, 2500): (29554, 15105.0, 2508, 36, 65, 169, 46, 182),
     ("dm", 100000, 3000): (33198, 15798.0, 3007, 257, 371, 1003, 0, 0),
+    ("dm", 50, 1500, *APPROX): (28624, 15105.0, 1508, 80, 251, 352, 12, 297),
+    ("dm", 20, 900, *APPROX): (40990, 15105.0, 911, 26, 76, 126, 12, 116),
+    ("dm", 100000, 3000, *APPROX): (33198, 15798.0, 3007, 257, 592, 1003, 0,
+                                    0),
+    # the root is feasible at 491 <= 1.3 * 425, its bound: no expansion
+    ("cm", 50, 1500, *APPROX): (491, 425.0, 1, 0, 1, 0, 0, 0),
+    ("cm", 50, 1500, ("mode", "approx"), ("alpha", 1.05)):
+        (455, 425.0, 1506, 82, 405, 335, 9, 212),
+    ("cm", 20, 900, ("mode", "approx"), ("alpha", 1.05)):
+        (455, 425.0, 900, 32, 182, 124, 8, 69),
+    ("dm", 50, 1500, *BY_COST): (41426, 15105.0, 1503, 319, 85, 1074, 0, 0),
+    ("dm", 20, 900, *BY_COST): (41468, 15105.0, 905, 197, 32, 629, 1, 6),
+    ("dm", 10, 1500, *BY_COST): (41426, 15105.0, 1505, 285, 93, 967, 4, 16),
+    ("cm", 50, 1500, *BY_COST): (455, 425.0, 1502, 452, 127, 872, 1, 18),
+    ("cm", 20, 900, *BY_COST): (455, 425.0, 902, 260, 69, 437, 4, 33),
+    ("cm", 8, 2500, *BY_COST): (456, 425.0, 540, 77, 25, 132, 9, 34),
 }
 
 
@@ -388,14 +531,16 @@ def test_search_counts_are_pinned():
     # probes dive inside expansions and read the generated count there,
     # so where a skipped child is counted moves every later number
     space = probe_space()
-    for (name, max_queue, node_limit), want in PINNED_COUNTS.items():
+    for key, want in PINNED_COUNTS.items():
+        name, max_queue, node_limit, *other = key
         res = search(space, make_metric(name, space),
                      build_constraints(space, k=20, l_div=2.0),
-                     SearchConfig(max_queue=max_queue, node_limit=node_limit))
+                     SearchConfig(max_queue=max_queue, node_limit=node_limit,
+                                  **dict(other)))
         s = res.stats
         assert (res.best_cost, res.lower_bound, s.generated, s.expanded,
                 s.pruned_bound, s.pruned_infeasible, s.probes,
-                s.forced_drops) == want, (name, max_queue, node_limit)
+                s.forced_drops) == want, key
 
 
 def test_node_budget_reports_exhausted(grid_space):
