@@ -39,10 +39,11 @@ class BoundContext:
 
     The finest-cell table lives on the `Space`; this keeps the metric's
     floor of each non-empty cell under the constraints' minimum block
-    size. A new extent's `min_cost` is one addition per cell of the
-    block, in ascending cell order: the order of the cells' first rows,
-    so row order can move only the last ulp of a vm sum; dm and cm
-    floors are integers, exact in any order.
+    size, built on the first `min_cost` call, so a solve that reads no
+    floor (greedy) builds none. A new extent's `min_cost` is one addition
+    per cell of the block, in ascending cell order: the order of the
+    cells' first rows, so row order can move only the last ulp of a vm
+    sum; dm and cm floors are integers, exact in any order.
     """
 
     def __init__(self, space, metric, constraints):
@@ -51,14 +52,13 @@ class BoundContext:
             if getattr(obj, "space", space) is not space:
                 raise ValueError(f"{kind} {obj.name!r} was built for "
                                  "another Space")
+        self.space = space
         self.metric = metric
         self.cons = constraints
         self._costs: dict = {}
         self._flags: dict = {}
         self._mins: dict = {}
-        size_floor = constraints.min_block_size()
-        self._floors = [metric.floor_cost(space.cell_block(cell), size_floor)
-                        for cell in range(len(space.cell_counts))]
+        self._floors = None
 
     def cost(self, block) -> float:
         """The metric's exact cost of `block`."""
@@ -78,9 +78,15 @@ class BoundContext:
         hit = self._mins.get(block.extent)
         if hit is not None:
             return hit
+        floors = self._floors
+        if floors is None:
+            space, size_floor = self.space, self.cons.min_block_size()
+            floors = self._floors = [
+                self.metric.floor_cost(space.cell_block(cell), size_floor)
+                for cell in range(len(space.cell_counts))]
         total = 0.0
         for cell in block.cells:
-            total += self._floors[cell]
+            total += floors[cell]
         self._mins[block.extent] = total
         return total
 

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .constraints import build_constraints
@@ -149,49 +150,43 @@ def _load_space(args):
 
 
 def _build_problem(args, space):
+    """The metric and constraints the flags ask for, and the echo of the
+    constraint flags given, as `result.json` records them."""
     metric = make_metric(args.metric, space, class_attr=args.class_attr,
                          unit_volume=args.unit_volume)
-    eps = None
-    if args.eps is not None:
-        eps = {"eps": args.eps, "sigma": args.sigma, "b": args.b,
-               "delta": args.delta}
+    echo = {
+        "k": args.k,
+        "min_length": _parse_min_lengths(args.min_length) or None,
+        "l": args.l,
+        "t": args.t,
+        "eps": None if args.eps is None else {
+            "eps": args.eps, "sigma": args.sigma, "b": args.b,
+            "delta": args.delta},
+        "assume_monotone": sorted(args.assume_monotone) or None,
+    }
+    echo = {key: value for key, value in echo.items() if value is not None}
     cons = build_constraints(
-        space, k=args.k, min_lengths=_parse_min_lengths(args.min_length),
-        l_div=args.l, t_close=args.t, eps=eps, sensitive=args.sensitive,
+        space, k=args.k, min_lengths=echo.get("min_length"), l_div=args.l,
+        t_close=args.t, eps=echo.get("eps"), sensitive=args.sensitive,
         assume_monotone=tuple(args.assume_monotone))
-    return metric, cons
+    return metric, cons, echo
 
 
-def _constraint_echo(args):
-    echo = {}
-    if args.k is not None:
-        echo["k"] = args.k
-    if args.min_length:
-        echo["min_length"] = _parse_min_lengths(args.min_length)
-    if args.l is not None:
-        echo["l"] = args.l
-    if args.t is not None:
-        echo["t"] = args.t
-    if args.eps is not None:
-        echo["eps"] = {"eps": args.eps, "sigma": args.sigma, "b": args.b,
-                       "delta": args.delta}
-    if args.assume_monotone:
-        echo["assume_monotone"] = sorted(args.assume_monotone)
-    return echo
-
-
-def _json_safe(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-    return x
+def _json_safe(doc):
+    """Spell each non-finite float in `doc`, a dict or list, and in the
+    dicts and lists it holds "inf", "-inf" or "nan", in place (a copy of
+    a partition would raise the peak memory): JSON has no such numbers."""
+    for key, x in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(x, float) and not math.isfinite(x):
+            doc[key] = "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+        elif isinstance(x, (dict, list)):
+            _json_safe(x)
 
 
 def _write_json(path, doc):
+    _json_safe(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_safe)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -246,7 +241,7 @@ def _search_config(args) -> SearchConfig:
 def _cmd_search(args) -> int:
     cfg = _search_config(args)  # before any data is read
     space = _load_space(args)
-    metric, cons = _build_problem(args, space)
+    metric, cons, echo = _build_problem(args, space)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -272,23 +267,14 @@ def _cmd_search(args) -> int:
         "mode": args.mode,
         "alpha": cfg.alpha,
         "priority": args.priority,
-        "constraints": _constraint_echo(args),
+        "constraints": echo,
         "theoretical_bound": theoretical_bound(metric, space,
                                                cons.min_block_size()),
         "n_rows": len(space.dataset),
         "n_splits": len(space.splits),
         "n_blocks": len(res.blocks) if res.blocks else 0,
         "seed_cost": seed_cost,
-        "stats": {
-            "generated": res.stats.generated,
-            "expanded": res.stats.expanded,
-            "pruned_bound": res.stats.pruned_bound,
-            "pruned_infeasible": res.stats.pruned_infeasible,
-            "probes": res.stats.probes,
-            "forced_drops": res.stats.forced_drops,
-            "max_queue_seen": res.stats.max_queue_seen,
-            "elapsed_sec": res.stats.elapsed_sec,
-        },
+        "stats": asdict(res.stats),
     }
     _write_json(out / "result.json", doc)
     _write_progress(out / "progress.csv", res.progress)
@@ -304,7 +290,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_greedy(args) -> int:
     space = _load_space(args)
-    metric, cons = _build_problem(args, space)
+    metric, cons, echo = _build_problem(args, space)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g = mondrian_greedy(space, metric, cons)
@@ -315,7 +301,7 @@ def _cmd_greedy(args) -> int:
         "certified": False,
         "steps": g.steps,
         "metric": args.metric,
-        "constraints": _constraint_echo(args),
+        "constraints": echo,
         "n_rows": len(space.dataset),
         "n_splits": len(space.splits),
         "n_blocks": len(g.tree.leaf_blocks()) if g.tree else 0,

@@ -67,8 +67,10 @@ class ClassificationError(Metric):
 
 class VolumeMetric(Metric):
     """Each tuple pays its block's normalized volume in units of
-    `unit_volume`. The default unit is the volume of the smallest cell
-    the split set can produce, which makes N a universal lower bound."""
+    `unit_volume`. No block is smaller than the smallest cell the split
+    set can produce, so N times that cell's volume over the unit is a
+    universal lower bound; the default unit is that volume, which makes
+    the bound N."""
 
     name = "vm"
 
@@ -131,7 +133,7 @@ def theoretical_bound(metric: Metric, space, size_floor: int) -> float:
     if metric.name == "cm":
         return 0
     if metric.name == "vm":
-        return float(n)
+        return float(n) * (metric._min_cell_volume() / metric.unit_volume)
     raise ConfigError(f"unknown metric {metric.name!r}")
 
 

@@ -13,10 +13,18 @@ non-monotone constraints stay expandable but cannot become incumbents.
 When the queue would outgrow its limit, a greedy dive from the best
 entry tries to tighten the incumbent, the queue is re-filtered against
 it, and if still too large the worst entries are dropped in 10% rounds
-until half the limit remains. Dropped bounds are remembered: they cap
-the provable lower bound, and any forced drop voids the certificate.
+until half the limit remains. Any forced drop voids the certificate.
 The node and time budgets are checked before every expansion and every
 dive step.
+
+The lower bound reported, in the result and in each progress row, is
+read off the search's own nodes: the least of the incumbent's cost, the
+least bound of any node discarded unexpanded (bound-pruned or force-
+dropped), the bound of the node under expansion (the root counts from
+its evaluation until it is queued or pruned) and the least queued bound.
+Every partition not yet offered as the incumbent descends from one of
+those nodes, so no other source is needed; with no incumbent and no
+node left the bound is `inf`.
 
 A node is held as its frontier, not as a tree: its refinable leaves, a
 pre-order suffix of its leaves, each with its path, the memo of its
@@ -67,7 +75,7 @@ from itertools import accumulate
 from .bounds import BoundContext, frontier, lower_bound
 from .constraints import ConstraintSet
 from .frontiers import HEAD, Frontiers
-from .metrics import Metric, theoretical_bound
+from .metrics import Metric
 # `legal_moves` is not called here; perfbench/spans.py wraps it by name
 from .partition import (PartitionTree, Space, canonical_tree, is_legal,
                         legal_ids, legal_moves)
@@ -204,16 +212,14 @@ class _Searcher:
         self.cfg = config
         self.seed_tree = seed_tree
         self.bctx = BoundContext(space, metric, constraints)
-        self.theory = theoretical_bound(metric, space,
-                                        constraints.min_block_size())
         self._exts: dict = {}     # extent -> _Ext
         self._fronts = Frontiers()
         self.stats = SearchStats()
         self.progress: list = []
         self.best: float = INF
         self.best_line = None     # the incumbent's lineage
-        self.frontier_min = INF   # min lb among bound-pruned nodes
-        self.dropped_min = INF    # min lb among force-dropped nodes
+        self.discard_min = INF    # min lb among nodes discarded unexpanded
+        self.open_lb = INF        # lb of the node under expansion
         self.heap: list = []
         self._seq = 0
         self._by_cost = config.priority == "cost"
@@ -348,7 +354,7 @@ class _Searcher:
                     stats.pruned_infeasible += bad.bit_count()
                     if live:
                         stats.pruned_bound += live.bit_count()
-                        self.frontier_min = min(self.frontier_min, lb)
+                        self.discard_min = min(self.discard_min, lb)
                     continue
             else:
                 rest = mins[i + 1:]
@@ -388,7 +394,7 @@ class _Searcher:
                     self._push(_Node(cost, lb, fa, front, path, move))
                 else:
                     stats.pruned_bound += 1
-                    self.frontier_min = min(self.frontier_min, lb)
+                    self.discard_min = min(self.discard_min, lb)
                 live ^= bits
             if bad:
                 stats.generated += bad.bit_count() - counted
@@ -398,17 +404,13 @@ class _Searcher:
 
     # ---- incumbent / bookkeeping ----
 
-    def _update_incumbent(self, node: _Node):
-        if node.fail_any == 0 and node.cost < self.best:
-            self._set_best(node.cost, node.line())
-
     def _set_best(self, cost, line):
         self.best = cost
         self.best_line = line
         self._progress_row()
 
     def _progress_row(self):
-        glb = self._current_glb()
+        glb = self._glb()
         self.progress.append({
             "elapsed_ms": (time.monotonic() - self._t0) * 1000.0,
             "best_cost": self.best,
@@ -417,20 +419,11 @@ class _Searcher:
             "queue": len(self.heap),
         })
 
-    def _current_glb(self) -> float:
-        cands = []
-        if math.isfinite(self.frontier_min):
-            cands.append(self.frontier_min)
-        if math.isfinite(self.dropped_min):
-            cands.append(self.dropped_min)
-        if self.heap:
-            cands.append(min(e[-1].lb for e in self.heap))
-        if cands:
-            g = min(cands)
-        else:
-            g = self.best if math.isfinite(self.best) else self.theory
-        g = max(g, self.theory)
-        return min(g, self.best) if math.isfinite(self.best) else g
+    def _glb(self) -> float:
+        """The least of the discard minimum, the open node's bound, the
+        queued bounds and the incumbent's cost; a node bound wins a tie."""
+        queued = min((e[-1].lb for e in self.heap), default=INF)
+        return min(self.discard_min, self.open_lb, queued, self.best)
 
     @staticmethod
     def _ratio(best, glb):
@@ -483,7 +476,7 @@ class _Searcher:
         alive = [e for e in heap if alpha * e[-1].lb < best]
         if len(alive) < len(heap):
             self.stats.pruned_bound += len(heap) - len(alive)
-            self.frontier_min = min(self.frontier_min, *(
+            self.discard_min = min(self.discard_min, *(
                 e[-1].lb for e in heap if not alpha * e[-1].lb < best))
         # entries are (key, key, seq, node) with a unique seq, so they sort
         # by key; the 10% rounds drop one tail of that order
@@ -494,7 +487,7 @@ class _Searcher:
         if n < len(alive):
             alive.sort()
             self.stats.forced_drops += len(alive) - n
-            self.dropped_min = min(self.dropped_min,
+            self.discard_min = min(self.discard_min,
                                    *(e[-1].lb for e in alive[n:]))
             del alive[n:]
         heapq.heapify(alive)
@@ -506,28 +499,33 @@ class _Searcher:
         cfg = self.cfg
         root, root_mono = self._evaluate(self.space.root_tree())
         self.stats.generated += 1
-
         if root_mono:
-            return self._finish("infeasible", drained=False)
+            return self._finish(drained=True)
+        # the root is open until it is queued or pruned, so the progress
+        # rows of the incumbents offered here count its bound
+        self.open_lb = root.lb
 
-        if self.seed_tree is not None:
-            seed, _ = self._evaluate(self.seed_tree)
-            if seed.fail_any:
+        seed = self.seed_tree
+        if seed is not None:
+            ctx = self.bctx
+            blocks = seed.leaf_blocks()
+            if any(ctx.flags(b)[0] for b in blocks):
                 raise ValueError("seed tree is not feasible")
-            if not is_legal(self.seed_tree):
+            if not is_legal(seed):
                 raise ValueError("seed tree is not in canonical form")
-            self._update_incumbent(seed)
-
-        self._update_incumbent(root)
+            self._set_best(sum(map(ctx.cost, blocks)), seed)
+        if root.fail_any == 0 and root.cost < self.best:
+            self._set_best(root.cost, root.line())
 
         if root.fail_any == 0 and root.cost <= root.lb:
-            return self._finish("drained", drained=True)
+            return self._finish(drained=True)
 
+        self.open_lb = INF
         if cfg.alpha * root.lb < self.best:
             self._push(root)
         else:
             self.stats.pruned_bound += 1
-            self.frontier_min = min(self.frontier_min, root.lb)
+            self.discard_min = min(self.discard_min, root.lb)
 
         budget_hit = False
         while self.heap:
@@ -537,19 +535,21 @@ class _Searcher:
             node = heapq.heappop(self.heap)[-1]
             if cfg.alpha * node.lb >= self.best:
                 self.stats.pruned_bound += 1
-                self.frontier_min = min(self.frontier_min, node.lb)
+                self.discard_min = min(self.discard_min, node.lb)
                 continue
             self.stats.expanded += 1
+            self.open_lb = node.lb
             self._expand(node)
+            self.open_lb = INF
 
-        return self._finish("drained", drained=not budget_hit)
+        return self._finish(drained=not budget_hit)
 
-    def _finish(self, reason, drained) -> SearchResult:
+    def _finish(self, drained) -> SearchResult:
         self.stats.elapsed_sec = time.monotonic() - self._t0
-        glb = self._current_glb()
+        glb = self._glb()
         ratio = self._ratio(self.best, glb)
         exact_safe = self.cfg.alpha == 1.0 or self.stats.pruned_bound == 0
-        if reason == "infeasible" or not math.isfinite(self.best):
+        if not math.isfinite(self.best):
             status = "infeasible"
             certified = False
             guarantee = None

@@ -457,6 +457,30 @@ def rebuild_canonical(space: Space, blocks):
     return rec(list(blocks))
 
 
+def reachable_partitions(space: Space) -> set:
+    """Every partition reachable from the root, each in the form of
+    `PartitionTree.signature()`, by a memoized recursion over extents: a
+    block's partitions are the block itself or, for each move, the unions
+    of one partition per new block. It shares only
+    `Space.available_moves` and `Space.move_blocks` with the search and
+    no ordering of moves with any enumerator."""
+    memo = {}
+
+    def parts(block) -> set:
+        hit = memo.get(block.extent)
+        if hit is None:
+            hit = {frozenset([block.extent])}
+            for move in space.available_moves(block):
+                unions = [frozenset()]
+                for nb in space.move_blocks(block, move):
+                    unions = [u | p for u in unions for p in parts(nb)]
+                hit.update(unions)
+            memo[block.extent] = hit
+        return hit
+
+    return {tuple(sorted(p)) for p in parts(space.root_block)}
+
+
 def brute_best(space: Space, metric, cons) -> float:
     """Exhaustive minimum over all reachable feasible partitions."""
     best = math.inf

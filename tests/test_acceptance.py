@@ -27,7 +27,8 @@ from anonsearch.partition import Space, legal_moves
 from anonsearch.search import SearchConfig, mondrian_greedy, search
 from anonsearch.splits import Move, generate_splits
 
-from conftest import build_space, random_instance, random_tree
+from conftest import (build_space, random_instance, random_tree,
+                      reachable_partitions)
 
 RELTOL = 1e-9
 INF = math.inf
@@ -101,7 +102,11 @@ def test_enumeration_is_duplicate_free_and_complete():
         space = random_instance(rng, total_splits=total)
         sigs = [t.signature() for t in enumerate_trees(space)]
         assert len(sigs) == len(set(sigs))
-        assert set(sigs) == distinct_signatures(multi_enumerate(space))
+        assert set(sigs) == reachable_partitions(space)
+        # the orderings oracle yields 7.5M orderings over these instances,
+        # all but 0.1 s of it on those with more than 4 splits
+        if len(space.splits) <= 4:
+            assert set(sigs) == distinct_signatures(multi_enumerate(space))
 
 
 # ---- 3: worked instance, exact cost and bound ----

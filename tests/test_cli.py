@@ -114,6 +114,34 @@ def test_search_infeasible_exit(tmp_path, capsys):
     assert not (out / "partition.json").exists()
 
 
+def strict_json(path):
+    """A JSON file read with the non-JSON tokens `Infinity`, `-Infinity`
+    and `NaN` refused."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+TAX_ROWS = [("fed", 0.5, "a"), ("inc", 1.5, "b"), ("sta", 1.2, "c"),
+            ("self", 0.1, "a"), ("fed", 1.9, "b")]
+
+
+def test_non_finite_values_are_written_as_strings(tmp_path):
+    data, config = write_instance(tmp_path, x_cuts=(0.7, 1.4),
+                                  rows=TAX_ROWS)
+    out = tmp_path / "cm"
+    assert main(["search", *base_args(data, config), "--metric", "cm",
+                 "--node-limit", "0", "--out", str(out)]) == 0
+    doc = strict_json(out / "result.json")
+    assert doc["status"] == "exhausted" and doc["lower_bound"] == 0
+    assert doc["ratio"] == doc["alpha_guarantee"] == "inf"
+    out = tmp_path / "infeasible"
+    assert main(["search", *base_args(data, config), "--k", "99",
+                 "--out", str(out)]) == 1
+    doc = strict_json(out / "result.json")
+    assert doc["status"] == "infeasible" and doc["lower_bound"] == "inf"
+
+
 def test_search_improve_seeds_incumbent(tmp_path):
     data, config = write_instance(tmp_path)
     out = tmp_path / "run"

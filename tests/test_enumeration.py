@@ -51,7 +51,8 @@ def test_enumerated_trees_unique_and_canonical(grid_space):
     assert len(sigs) == count_partitions(grid_space)
 
 
-@settings(max_examples=50, deadline=None)
+# a fixed draw: the oracle's run time swings with the instance drawn
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 6))
 def test_enumeration_matches_orderings_oracle(seed):
     rng = random.Random(seed)

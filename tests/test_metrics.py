@@ -1,9 +1,12 @@
 import pytest
 
+from anonsearch.constraints import build_constraints
 from anonsearch.dataset import ConfigError
 from anonsearch.metrics import (CountedBlock, VolumeMetric, count_estimate,
                                 make_metric, parse_query, query_error_report,
                                 theoretical_bound, true_count)
+
+from conftest import brute_best
 
 
 def split_blocks(space, split_id):
@@ -52,6 +55,14 @@ def test_theoretical_bounds(grid_space):
                              3) == 18
     assert theoretical_bound(make_metric("vm", grid_space), grid_space,
                              3) == 6
+    # the smallest cell is 1/4 by 1/3 of the domain: N of them, in units
+    # of `unit`, bound every partition from below
+    cons = build_constraints(grid_space)
+    for unit in (1 / 24, 1 / 6, 0.5):
+        vm = make_metric("vm", grid_space, unit_volume=unit)
+        bound = theoretical_bound(vm, grid_space, 1)
+        assert bound == pytest.approx(6 / 12 / unit)
+        assert bound <= brute_best(grid_space, vm, cons) + 1e-9
 
 
 def test_unknown_metric(grid_space):

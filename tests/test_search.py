@@ -66,12 +66,16 @@ def test_config_validation():
 
 
 @settings(max_examples=35, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]),
+@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm", "frac"]),
        st.integers(1, 3))
+@example(0, "frac", 1)
 def test_search_matches_brute_force(seed, name, k):
+    # "frac" is a Metric subclass with a name of its own: the search
+    # reads its bounds off its nodes alone, so it takes any metric
     rng = random.Random(seed)
     space = random_instance(rng)
-    metric = make_metric(name, space)
+    metric = (FractionalMetric() if name == "frac"
+              else make_metric(name, space))
     cons = build_constraints(space, k=k)
     want = brute_best(space, metric, cons)
     res = search(space, metric, cons)
@@ -158,6 +162,8 @@ def test_infeasible_when_k_exceeds_rows(grid_space):
     assert res.status == "infeasible"
     assert res.best_tree is None and res.ratio is None
     assert not res.certified
+    # no feasible partition: the least cost over none is inf
+    assert res.lower_bound == math.inf and res.progress == []
 
 
 def test_search_crosses_an_infeasible_root():
@@ -286,11 +292,9 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
 
 class FractionalMetric(Metric):
     """A metric whose costs and floors are not whole numbers, so the
-    search may not share a bound between a leaf's children. Its
-    `theoretical_bound` is cm's 0, which holds for any non-negative
-    metric."""
+    search may not share a bound between a leaf's children."""
 
-    name = "cm"
+    name = "frac"
 
     def block_cost(self, block):
         return block.count * block.count / 3 + block.count / 10
@@ -300,7 +304,7 @@ def reference_expansion(searcher, tree, node, best, alpha):
     """What expanding `node` (the tree `tree`) must do with incumbent
     `best`, one child at a time in `legal_moves` order from the trees
     `apply_move` grows: `(generated, pruned_bound, pruned_infeasible,
-    frontier_min)` and, per pushed child, the children generated up to
+    discard_min)` and, per pushed child, the children generated up to
     it and its `(path, move, cost, lb, fail_any)`."""
     ctx = searcher.bctx
     blocks = {path: leaf.block for path, leaf, _ in tree.splittable_leaves()}
@@ -336,7 +340,7 @@ def test_expansion_matches_a_per_child_reference(seed, name, alpha):
     # with an incumbent between the children's least and greatest bound,
     # an expansion prunes whole leaves in one step where their shared
     # bound allows (dm, cm) and scores child by child otherwise (vm and
-    # fractional costs); either way its counts, its frontier_min, what
+    # fractional costs); either way its counts, its discard_min, what
     # it pushes and the generated count each push sees must be those of
     # scoring every child in legal_moves order, bit for bit
     rng = random.Random(seed)
@@ -376,7 +380,7 @@ def test_expansion_matches_a_per_child_reference(seed, name, alpha):
         assert searcher._expand(node) is None
         s = searcher.stats
         got = (s.generated, s.pruned_bound, s.pruned_infeasible,
-               searcher.frontier_min)
+               searcher.discard_min)
         assert (got, seen) == want
         for (_, a), (_, b) in zip(seen, want[1]):
             assert [type(x) for x in a] == [type(x) for x in b]
@@ -541,6 +545,72 @@ def test_search_counts_are_pinned():
         assert (res.best_cost, res.lower_bound, s.generated, s.expanded,
                 s.pruned_bound, s.pruned_infeasible, s.probes,
                 s.forced_drops) == want, key
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]),
+       st.integers(1, 3), st.booleans())
+@example(0, "dm", 1, False)
+def test_no_reported_bound_exceeds_the_optimum(seed, name, k, seeded):
+    # a progress row is written while the root or an expanded node is
+    # open, before its children are queued; its bound must count that
+    # node, and no other bound source may lift it
+    rng = random.Random(seed)
+    space = random_instance(rng)
+    metric = make_metric(name, space)
+    cons = build_constraints(space, k=k)
+    want = brute_best(space, metric, cons)
+    if math.isinf(want):
+        return
+    g = mondrian_greedy(space, metric, cons)
+    cfg = SearchConfig(node_limit=rng.choice([None, 1, 5, 20]),
+                       max_queue=rng.choice([2, 100_000]))
+    res = search(space, metric, cons, cfg,
+                 seed_tree=g.tree if seeded and g.feasible else None)
+    assert res.progress
+    for row in res.progress:
+        assert row["lower_bound"] <= want * (1 + 1e-9), row
+    assert res.lower_bound <= want * (1 + 1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2.0, 5.0, 12.0]),
+       st.integers(1, 30))
+@example(0, 12.0, 1)
+def test_vm_certificate_holds_for_a_coarse_unit_volume(seed, scale,
+                                                       node_limit):
+    # with a unit volume above the smallest cell's, the optimum may lie
+    # below N, the bound the default unit gives; an exhausted result must
+    # still bracket it
+    rng = random.Random(seed)
+    space = random_instance(rng, rows_range=(6, 14))
+    unit = make_metric("vm", space).unit_volume * scale
+    metric = make_metric("vm", space, unit_volume=unit)
+    cons = build_constraints(space, k=rng.choice([1, 2]))
+    want = brute_best(space, metric, cons)
+    if math.isinf(want):
+        return
+    res = search(space, metric, cons, SearchConfig(node_limit=node_limit))
+    assert res.lower_bound <= want * (1 + 1e-9)
+    if res.status == "exhausted":
+        assert res.alpha_guarantee >= res.best_cost / want * (1 - 1e-9)
+    else:
+        assert res.best_cost == pytest.approx(want, rel=1e-9)
+
+
+def test_seeded_root_counts_as_open(tax_space):
+    # the greedy seed is offered while the root is open: its progress
+    # row carries the root's bound, and a seed as cheap as that bound
+    # prunes the root and proves itself optimal within one node
+    metric = make_metric("dm", tax_space)
+    cons = build_constraints(tax_space)
+    g = mondrian_greedy(tax_space, metric, cons)
+    res = search(tax_space, metric, cons, SearchConfig(node_limit=1),
+                 seed_tree=g.tree)
+    root = lower_bound(tax_space.root_tree(),
+                       BoundContext(tax_space, metric, cons))
+    assert res.status == "optimal"
+    assert res.progress[0]["lower_bound"] == min(root, g.cost)
 
 
 def test_node_budget_reports_exhausted(grid_space):
