@@ -283,8 +283,10 @@ def _cmd_search(args) -> int:
     if res.status == "infeasible":
         print("infeasible instance", file=sys.stderr)
         return 1
+    # a search stopped before any incumbent has no ratio
+    ratio = "" if res.ratio is None else f" ratio={res.ratio:g}"
     print(f"{res.status}: cost={res.best_cost:g} "
-          f"bound={res.lower_bound:g} ratio={res.ratio:g}")
+          f"bound={res.lower_bound:g}{ratio}")
     return 0
 
 

@@ -15,8 +15,11 @@ with leaf i, the child off its path now holds the grown subtree, so
 that entry takes the subtree's new cut mask. The cut masks are rebuilt
 up leaf i's path one level at a time from the move's, reading each
 ancestor's split and other child's mask from leaf i's entries, and only
-as high as the leaves after i need. Entries that do not change are
-shared, never copied.
+as high as the leaves after i need. Once a mask is unchanged, so is
+every mask above it: the first leaf after i whose entry at that
+ancestor keeps its mask ends the rebuild, and it and the rest of the
+parent's frontier are copied in one slice. Entries that do not change
+are shared, never copied.
 """
 
 from __future__ import annotations
@@ -105,11 +108,14 @@ class Frontiers:
                 top = top[2]
             if top is not old:
                 _, keep, up, s, sib = old = top
-                new = top if sib == cuts else (
-                    s.other_attrs & ~cuts, keep, up, s, cuts)
-            if new is not top:
-                anc = new
-                for free, keep, _, s, sib in reversed(below):
-                    anc = (free, keep, anc, s, sib)
+                if sib == cuts:
+                    # the masks above are unchanged too: so is every entry
+                    # of this leaf and the leaves after it
+                    out += front[u:]
+                    break
+                new = (s.other_attrs & ~cuts, keep, up, s, cuts)
+            anc = new
+            for free, keep, _, s, sib in reversed(below):
+                anc = (free, keep, anc, s, sib)
             out += (p, x, anc, lca)
         return tuple(out)

@@ -45,22 +45,26 @@ growing leaf i freezes those leaves, so a child's bound is `pre[i]`,
 plus each new block's floor, plus the floors of the leaves after i,
 added in that order: the float `lower_bound` gives on the child's tree.
 The new blocks split leaf i's finest cells, so when these sums are
-exact (whole costs and floors, as for dm and cm) all children of leaf i
-share one bound, and a leaf whose shared bound reaches the incumbent is
-counted and pruned in one step. Otherwise each child is scored, offered
-and pushed in `legal_moves` order, the bad moves counted where that
-order reaches them, so a probe run between two pushes reads the same
-counts.
+exact (whole costs and floors, as for dm and cm, and no sum reaching
+2**53) all children of leaf i share one bound, a running sum: the
+node's bound plus each earlier leaf's cost minus its floor. A leaf whose
+shared bound reaches the incumbent is counted and pruned in one step.
+Otherwise each child is scored, offered and pushed in `legal_moves`
+order, the bad moves counted where that order reaches them, so a probe
+run between two pushes reads the same counts.
 
-A queued child holds its parent's frontier, the leaf's path and the
-move, and derives its own frontier when it is expanded: first the new
-blocks, then the parent's leaves after i. Those keep all but one
-ancestry entry: at its lowest common ancestor with leaf i, the child
-off the path now holds the grown subtree, whose cut mask is rebuilt up
-leaf i's path one level at a time. Its `frozen` is the parent's
-`pre[i]`, the same additions in the same order, so costs and bounds
-stay bit-identical for every metric, vm included. A frontier is freed
-with the last queued child that refers to it.
+A queued child is one flat tuple, `(key, key, seq, fail_any, front, at,
+move)`: its two keys (bound and cost, in priority order), a unique
+sequence number, its parent's frontier `front`, the index `at` of the
+grown leaf's path in it and the move. The main loop checks a popped
+entry's bound before it builds anything; only then is the child's
+frontier derived: first the new blocks, then the parent's leaves after
+i. Those keep all but one ancestry entry: at its lowest common ancestor
+with leaf i, the child off the path now holds the grown subtree, whose
+cut mask is rebuilt up leaf i's path one level at a time. Its `frozen`
+is the parent's `pre[i]`, the same additions in the same order, so
+costs and bounds stay bit-identical for every metric, vm included. A
+frontier is freed with the last queued child that refers to it.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .bounds import BoundContext, frontier, lower_bound
 from .constraints import ConstraintSet
@@ -177,22 +180,16 @@ class _Ext:
 
 @dataclass(slots=True)
 class _Node:
-    """A scored tree with no block failing a monotone constraint. `up` is
-    its frontier, or, while `path` is set, its parent's: the node is then
-    the parent grown at `path` by `move`, and its frontier is derived on
-    expansion."""
+    """A scored tree with no block failing a monotone constraint, held as
+    its frontier `up`."""
     cost: float
     lb: float
     fail_any: int     # blocks violating any constraint
     up: tuple         # (lineage, frozen, path, _Ext, ancestry, lca, ...)
-    path: tuple | None = None
-    move: object = None
 
     def line(self):
         """The node's lineage, from which `_grow` grows its tree."""
-        if self.path is None:
-            return self.up[0]
-        return (self.up[0], self.path, self.move)
+        return self.up[0]
 
 
 def _grow(line) -> PartitionTree:
@@ -223,6 +220,7 @@ class _Searcher:
         self.heap: list = []
         self._seq = 0
         self._by_cost = config.priority == "cost"
+        self._lb_at = 1 if self._by_cost else 0   # a queue entry's bound
         # every cost and floor met so far is a whole number, and every
         # filled move's floors add up to its block's: see `_expand`
         self._exact = True
@@ -257,19 +255,26 @@ class _Searcher:
         front = self._fronts.of_tree(tree, head, self._ext)
         return _Node(cost, lb, fa, front), fm
 
-    def _derive(self, node) -> tuple:
-        """The frontier of a queued node, from its parent's: `frozen` is
-        the parent's `pre[i]`, the same additions in the same order."""
-        front, path, move = node.up, node.path, node.move
-        at = HEAD
-        while front[at] is not path:
-            at += 4
+    def _derive(self, front, at, move) -> tuple:
+        """The frontier of the child grown at `front[at]` by `move`, from
+        its parent's: `frozen` is the parent's plus the costs of the
+        leaves before `front[at]`, the same additions in the same order as
+        the child's `pre` in `_expand`."""
         frozen = front[1]
         for x in front[HEAD + 1:at:4]:
             frozen += x.cost
         return self._fronts.grown(
             front, at, move, front[at + 1].terms[move.id][0],
-            ((front[0], path, move), frozen))
+            ((front[0], front[at], move), frozen))
+
+    def _node(self, entry) -> _Node:
+        """The node of a queue entry, a queued child's frontier derived."""
+        k0, k1, _, fail_any, front, at, move = entry
+        if at is not None:
+            front = self._derive(front, at, move)
+        if self._by_cost:
+            return _Node(k0, k1, fail_any, front)
+        return _Node(k1, k0, fail_any, front)
 
     # ---- scoring ----
 
@@ -298,41 +303,39 @@ class _Searcher:
 
         Each child with no block failing a monotone constraint is
         counted into `stats.generated` and offered as the incumbent; in
-        the main loop it is then pushed while alpha times its bound stays
-        below the incumbent and bound-pruned otherwise, while a `dive`
-        returns the cheapest feasible child as `(cost, lb, path, move)`,
-        the first of equals, or None. Each other legal child is counted
-        into `generated`, and outside a dive into `pruned_infeasible`,
-        before the next scored child of its leaf, so a probe run inside
-        `_push` reads the counts of scoring every child in `legal_moves`
-        order. Outside a dive, a leaf whose children share a bound at or
-        above the incumbent is counted and pruned whole. A queued node's
-        frontier is derived first, and `node.up` set to it.
+        the main loop it is then pushed as a queue entry while alpha
+        times its bound stays below the incumbent and bound-pruned
+        otherwise, while a `dive` returns the cheapest feasible child as
+        `(cost, lb, at, move)`, the first of equals, or None. Each other
+        legal child is counted into `generated`, and outside a dive into
+        `pruned_infeasible`, before the next scored child of its leaf, so
+        a probe run before a push reads the counts of scoring every child
+        in `legal_moves` order. Outside a dive, a leaf whose children
+        share a bound at or above the incumbent is counted and pruned
+        whole.
         """
-        if node.path is not None:
-            node.up = self._derive(node)
-            node.path = node.move = None
         front = node.up
-        exts = front[HEAD + 1::4]
-        pre, mins = [], []
-        total = front[1]
-        for ext in exts:
-            pre.append(total)
-            mins.append(ext.floor)
-            total += ext.cost
-        # `suf[i]`, the floors from leaf i on, bounds every child of leaf
-        # i with `pre[i]` when every term is a whole number and no sum
-        # reaches 2**53, so that all these additions are exact
-        suf = None
-        if self._exact and mins and _whole(front[1]):
-            suf = list(accumulate(reversed(mins)))[::-1]
-            if total + suf[0] >= 2 ** 53:
-                suf = None
         stats = self.stats
         alpha = self.cfg.alpha
+        max_queue = self.cfg.max_queue
+        by_cost = self._by_cost
+        push = heapq.heappush
+        heap = self.heap
         pick = None
-        for i, (path, ext, ancestry) in enumerate(
-                zip(front[HEAD::4], exts, front[HEAD + 2::4])):
+        pre = front[1]
+        # while every term is a whole number and no sum reaches 2**53, so
+        # that all these additions are exact, the children of leaf i share
+        # the bound `pre[i]` plus the floors from leaf i on: `shared`, the
+        # node's bound plus each earlier leaf's cost minus its floor
+        shared = node.lb if self._exact and _whole(pre) else None
+        for at in range(HEAD, len(front), 4):
+            path, ext, ancestry = front[at:at + 3]
+            if shared is not None and shared >= 2 ** 53:
+                shared = None
+            frozen, lb = pre, shared
+            pre += ext.cost
+            if shared is not None:
+                shared += ext.cost - ext.floor
             if ext.moves is None:
                 moves = ext.moves = self.space.available_moves(ext.block)
                 ext.ids = sum(m.bits for m in moves)
@@ -345,8 +348,7 @@ class _Searcher:
             bad = legal & ext.bad
             live = legal ^ bad
             rest = None
-            if suf is not None and self._exact:
-                lb = pre[i] + suf[i]
+            if lb is not None and self._exact:
                 if lb >= self.best and not dive:
                     # nothing to offer: a feasible child costs at least
                     # its bound
@@ -357,7 +359,7 @@ class _Searcher:
                         self.discard_min = min(self.discard_min, lb)
                     continue
             else:
-                rest = mins[i + 1:]
+                rest = [x.floor for x in front[at + 5::4]]
             counted = 0
             base = node.cost - ext.cost
             terms = ext.terms
@@ -378,7 +380,8 @@ class _Searcher:
                 for c in costs:
                     cost += c
                 if rest is not None:
-                    lb = pre[i]
+                    # the float `lower_bound` gives on the child's tree
+                    lb = frozen
                     for floor in floors:
                         lb += floor
                     for floor in rest:
@@ -389,9 +392,17 @@ class _Searcher:
                     self._set_best(cost, (front[0], path, move))
                 if dive:
                     if not fa and (pick is None or cost < pick[0]):
-                        pick = (cost, lb, path, move)
+                        pick = (cost, lb, at, move)
                 elif alpha * lb < self.best:
-                    self._push(_Node(cost, lb, fa, front, path, move))
+                    if len(heap) >= max_queue:
+                        self._probe()
+                        heap = self.heap
+                    # seq is unique, so the rest of an entry is never
+                    # compared
+                    self._seq += 1
+                    push(heap, (cost, lb, self._seq, fa, front, at, move)
+                         if by_cost else
+                         (lb, cost, self._seq, fa, front, at, move))
                 else:
                     stats.pruned_bound += 1
                     self.discard_min = min(self.discard_min, lb)
@@ -422,7 +433,8 @@ class _Searcher:
     def _glb(self) -> float:
         """The least of the discard minimum, the open node's bound, the
         queued bounds and the incumbent's cost; a node bound wins a tie."""
-        queued = min((e[-1].lb for e in self.heap), default=INF)
+        at = self._lb_at
+        queued = min((e[at] for e in self.heap), default=INF)
         return min(self.discard_min, self.open_lb, queued, self.best)
 
     @staticmethod
@@ -441,44 +453,33 @@ class _Searcher:
         return (cfg.node_limit is not None
                 and self.stats.generated >= cfg.node_limit)
 
-    def _push(self, node: _Node):
-        if len(self.heap) >= self.cfg.max_queue:
-            self._probe()
-        self._seq += 1
-        # flat (key..., seq, node): no key tuple per entry; seq is unique,
-        # so the node is never compared
-        if self._by_cost:
-            entry = (node.cost, node.lb, self._seq, node)
-        else:
-            entry = (node.lb, node.cost, self._seq, node)
-        heapq.heappush(self.heap, entry)
-        if len(self.heap) > self.stats.max_queue_seen:
-            self.stats.max_queue_seen = len(self.heap)
-
     # ---- probe: incumbent dive + queue reduction ----
 
     def _dive(self, node: _Node):
-        cur = node
         while not self._out_of_budget():
-            pick = self._expand(cur, dive=True)
+            pick = self._expand(node, dive=True)
             if pick is None:
                 return
-            cost, lb, path, move = pick
-            if cur.fail_any == 0 and cost >= cur.cost:
+            cost, lb, at, move = pick
+            if node.fail_any == 0 and cost >= node.cost:
                 return
-            cur = _Node(cost, lb, 0, cur.up, path, move)
+            node = _Node(cost, lb, 0, self._derive(node.up, at, move))
 
     def _probe(self):
-        self.stats.probes += 1
+        stats = self.stats
+        stats.probes += 1
+        # the queue is largest just before a probe or a pop
+        stats.max_queue_seen = max(stats.max_queue_seen, len(self.heap))
         if self.heap:
-            self._dive(self.heap[0][-1])
+            self._dive(self._node(self.heap[0]))
         alpha, best, heap = self.cfg.alpha, self.best, self.heap
-        alive = [e for e in heap if alpha * e[-1].lb < best]
+        at = self._lb_at
+        alive = [e for e in heap if alpha * e[at] < best]
         if len(alive) < len(heap):
-            self.stats.pruned_bound += len(heap) - len(alive)
+            stats.pruned_bound += len(heap) - len(alive)
             self.discard_min = min(self.discard_min, *(
-                e[-1].lb for e in heap if not alpha * e[-1].lb < best))
-        # entries are (key, key, seq, node) with a unique seq, so they sort
+                e[at] for e in heap if not alpha * e[at] < best))
+        # entries are (key, key, seq, ...) with a unique seq, so they sort
         # by key; the 10% rounds drop one tail of that order
         half = max(1, self.cfg.max_queue // 2)
         n = len(alive)
@@ -486,9 +487,9 @@ class _Searcher:
             n -= max(1, n // 10)
         if n < len(alive):
             alive.sort()
-            self.stats.forced_drops += len(alive) - n
+            stats.forced_drops += len(alive) - n
             self.discard_min = min(self.discard_min,
-                                   *(e[-1].lb for e in alive[n:]))
+                                   *(e[at] for e in alive[n:]))
             del alive[n:]
         heapq.heapify(alive)
         self.heap = alive
@@ -521,52 +522,63 @@ class _Searcher:
             return self._finish(drained=True)
 
         self.open_lb = INF
+        stats = self.stats
         if cfg.alpha * root.lb < self.best:
-            self._push(root)
+            # a queue entry is `(key, key, seq, fail_any, front, at, move)`:
+            # the child grown at `front[at]` by `move`, or with `at` None
+            # the node whose frontier `front` is
+            key = ((root.cost, root.lb) if self._by_cost
+                   else (root.lb, root.cost))
+            heapq.heappush(self.heap,
+                           (*key, 0, root.fail_any, root.up, None, None))
         else:
-            self.stats.pruned_bound += 1
+            stats.pruned_bound += 1
             self.discard_min = min(self.discard_min, root.lb)
 
+        lb_at = self._lb_at
         budget_hit = False
         while self.heap:
+            stats.max_queue_seen = max(stats.max_queue_seen, len(self.heap))
             if self._out_of_budget():
                 budget_hit = True
                 break
-            node = heapq.heappop(self.heap)[-1]
-            if cfg.alpha * node.lb >= self.best:
-                self.stats.pruned_bound += 1
-                self.discard_min = min(self.discard_min, node.lb)
+            entry = heapq.heappop(self.heap)
+            lb = entry[lb_at]
+            if cfg.alpha * lb >= self.best:
+                stats.pruned_bound += 1
+                self.discard_min = min(self.discard_min, lb)
                 continue
-            self.stats.expanded += 1
-            self.open_lb = node.lb
-            self._expand(node)
+            stats.expanded += 1
+            self.open_lb = lb
+            self._expand(self._node(entry))
             self.open_lb = INF
 
         return self._finish(drained=not budget_hit)
 
     def _finish(self, drained) -> SearchResult:
+        """The result: a search that drained with no forced drop proves
+        its status, `infeasible` with no incumbent; any other search is
+        `exhausted`, uncertified, its guarantee the ratio reached (None
+        with no incumbent)."""
         self.stats.elapsed_sec = time.monotonic() - self._t0
         glb = self._glb()
         ratio = self._ratio(self.best, glb)
-        exact_safe = self.cfg.alpha == 1.0 or self.stats.pruned_bound == 0
-        if not math.isfinite(self.best):
+        proved = drained and self.stats.forced_drops == 0
+        certified = proved and math.isfinite(self.best)
+        if not proved:
+            status = "exhausted"
+            guarantee = ratio
+        elif not certified:
             status = "infeasible"
-            certified = False
             guarantee = None
-        elif drained and self.stats.forced_drops == 0 and exact_safe:
+        elif self.cfg.alpha == 1.0 or self.stats.pruned_bound == 0:
             status = "optimal"
-            certified = True
             guarantee = 1.0
             glb = self.best
             ratio = 1.0
-        elif drained and self.stats.forced_drops == 0:
-            status = "approx"
-            certified = True
-            guarantee = self.cfg.alpha
         else:
-            status = "exhausted"
-            certified = False
-            guarantee = ratio
+            status = "approx"
+            guarantee = self.cfg.alpha
         tree = None if self.best_line is None else _grow(self.best_line)
         return SearchResult(status, tree, self.best, glb, ratio,
                             certified, guarantee, self.stats, self.progress)

@@ -114,6 +114,33 @@ def test_search_infeasible_exit(tmp_path, capsys):
     assert not (out / "partition.json").exists()
 
 
+def test_search_stopped_before_any_incumbent_is_exhausted(tmp_path, capsys):
+    # the root fails only the non-monotone eps-privacy bound, and the
+    # budget stops the search before any partition is found: no status
+    # is proved, so the run exits 0 as exhausted, with no partition
+    cfg = {"attributes": [
+        {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 2],
+         "splits": {"type": "explicit", "values": [1]}},
+        {"name": "s", "kind": "categorical", "role": "sensitive",
+         "values": ["a", "b", "c", "d"]},
+    ]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    data = tmp_path / "data.csv"
+    data.write_text("x,s\n" + "".join(f"{x},{v}\n" for x in (0.5, 1.5)
+                                      for v in "abcd"))
+    out = tmp_path / "run"
+    code = main(["search", *base_args(str(data), str(config)), "--eps",
+                 "2.45", "--b", "2", "--node-limit", "1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "exhausted: cost=inf bound=32\n"
+    doc = strict_json(out / "result.json")
+    assert doc["status"] == "exhausted" and doc["best_cost"] is None
+    assert doc["ratio"] is None and doc["alpha_guarantee"] is None
+    assert not doc["certified"]
+    assert not (out / "partition.json").exists()
+
+
 def strict_json(path):
     """A JSON file read with the non-JSON tokens `Infinity`, `-Infinity`
     and `NaN` refused."""
@@ -500,3 +527,7 @@ def test_traced_solve_reaches_every_patched_layer(tmp_path):
     for name in ("bounds.min_cost", "constraints.block_flags",
                  "bounds.lower_bound", "partition.apply_move"):
         assert calls.get(name, 0) > 0, name
+    # the queue is counted through search.py's `heapq` name: a push bound
+    # to another name would read as no push at all
+    stats = read_json(tmp_path / "out" / "result.json")["stats"]
+    assert calls.get("search.heap.push", 0) >= stats["max_queue_seen"] > 1

@@ -1,8 +1,11 @@
 import gc
+import heapq
+import importlib
 import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,9 @@ from anonsearch.splits import Move, generate_splits
 
 from conftest import (brute_best, build_space, random_instance, random_tree,
                       rows_dataset)
+
+# the package re-exports a function named `search`; this is the module
+search_module = importlib.import_module("anonsearch.search")
 
 
 def adult_space(n_rows, sample=None, splits=None):
@@ -180,6 +186,27 @@ def test_search_crosses_an_infeasible_root():
     assert brute_best(space, metric, cons) == 32
 
 
+def test_budget_before_any_incumbent_is_exhausted_not_infeasible():
+    # the root fails only the non-monotone attacker bound and the budget
+    # stops the search before any partition is offered: nothing is
+    # proved, so the search is exhausted, with the bound of the node it
+    # left queued, not infeasible
+    space = eps_space()
+    cons = build_constraints(space, eps={"eps": 2.45, "sigma": 0, "b": 2})
+    res = search(space, make_metric("dm", space), cons,
+                 SearchConfig(node_limit=1))
+    assert res.status == "exhausted"
+    assert res.best_tree is None and res.best_cost == math.inf
+    assert not res.certified
+    assert res.ratio is None and res.alpha_guarantee is None
+    assert res.lower_bound == 32   # the root's, the optimum here
+    # nor does a drained search whose queue dropped nodes unexpanded
+    searcher = _Searcher(space, make_metric("dm", space), cons,
+                         SearchConfig())
+    searcher.stats.forced_drops = 1
+    assert searcher._finish(drained=True).status == "exhausted"
+
+
 def test_monotone_assumption_changes_pruning_not_result():
     space = eps_space()
     kw = dict(eps={"eps": 2.45, "sigma": 0, "b": 2})
@@ -210,15 +237,21 @@ def test_deterministic_reruns(tax_space):
 def pushed_children(searcher, node, dive=False):
     """Expand `node` with no incumbent and offers not taken, so the main
     loop pushes every child without a monotone failure: the pushed
-    `(path, move, cost, lb, fail_any, node)` in push order, and what
-    `_expand` returned."""
+    `(path, move, cost, lb, fail_any, kid)` in push order, `kid` the
+    child's node with its frontier derived, and what `_expand`
+    returned."""
     searcher.best, searcher.heap = math.inf, []
     searcher._set_best = lambda cost, line: None
     pick = searcher._expand(node, dive)
     entries = sorted(searcher.heap, key=lambda e: e[2])
     searcher.heap = []
-    return [(k.path, k.move, k.cost, k.lb, k.fail_any, k)
-            for *_, k in entries], pick
+    pushed = []
+    for entry in entries:   # keyed by lb, the default priority
+        lb, cost, _, fail_any, front, at, move = entry
+        kid = searcher._node(entry)
+        assert (kid.cost, kid.lb, kid.fail_any) == (cost, lb, fail_any)
+        pushed.append((front[at], move, cost, lb, fail_any, kid))
+    return pushed, pick
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,7 +303,7 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
             prefix = 0.0
             for b in blocks[:len(blocks) - len(child.splittable_leaves())]:
                 prefix += searcher.bctx.cost(b)
-            frozen = searcher._derive(queued)[1]
+            frozen = queued.up[1]
             assert frozen == prefix and type(frozen) is float
             assert (fa, 0) == (ref.fail_any, ref_mono)
             assert cost == pytest.approx(ref.cost, rel=1e-12)
@@ -280,9 +313,11 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
         # a dive scores the same children, counts the skipped ones into
         # generated only, and picks the first cheapest feasible child
         generated, pruned = stats.generated, stats.pruned_infeasible
-        dived, pick = pushed_children(searcher, searcher._evaluate(tree)[0],
-                                      dive=True)
+        dive_node = searcher._evaluate(tree)[0]
+        dived, pick = pushed_children(searcher, dive_node, dive=True)
         assert dived == []
+        if pick is not None:   # `(cost, lb, at, move)`
+            pick = (*pick[:2], dive_node.up[pick[2]], pick[3])
         assert stats.generated - generated == len(pushed) + skipped
         assert stats.pruned_infeasible == pruned
         feasible = [(cost, lb, path, move)
@@ -369,21 +404,71 @@ def test_expansion_matches_a_per_child_reference(seed, name, alpha):
         want = reference_expansion(searcher, tree, node, best, alpha)
         searcher.best = best
         seen = []
-        push = searcher._push
 
-        def recorded(kid):
+        def recorded(heap, entry):
+            lb, cost, _, fail_any, front, at, move = entry
             seen.append((searcher.stats.generated, (
-                kid.path, kid.move, kid.cost, kid.lb, kid.fail_any)))
-            push(kid)
+                front[at], move, cost, lb, fail_any)))
+            heapq.heappush(heap, entry)
 
-        searcher._push = recorded
-        assert searcher._expand(node) is None
+        # pushes go through the module's `heapq` name
+        search_module.heapq = SimpleNamespace(heappush=recorded)
+        try:
+            assert searcher._expand(node) is None
+        finally:
+            search_module.heapq = heapq
         s = searcher.stats
         got = (s.generated, s.pruned_bound, s.pruned_infeasible,
                searcher.discard_min)
         assert (got, seen) == want
         for (_, a), (_, b) in zip(seen, want[1]):
             assert [type(x) for x in a] == [type(x) for x in b]
+
+
+class LargeMetric(Metric):
+    """Whole costs of a size at which a node's sums can pass 2**53, where
+    float addition rounds and its order matters; the floors (the counts)
+    stay small and add up exactly."""
+
+    name = "large"
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def block_cost(self, block):
+        return float(block.count * block.count * self.scale + block.count)
+
+    def floor_cost(self, cell, size_floor):
+        return float(cell.count)
+
+
+@pytest.mark.parametrize("scale, crosses", [(2 ** 40, False),
+                                            (2 ** 47 + 1, True)])
+def test_shared_bound_is_used_only_below_2_53(scale, crosses):
+    # every term is a whole number, so the children of a frontier leaf
+    # share one bound, carried as a running sum, only while no sum
+    # reaches 2**53; past it each child is scored in pre-order. Either
+    # way every pushed child's bound is the float lower_bound gives on
+    # the child's tree
+    rng = random.Random(11)
+    metric = LargeMetric(scale)
+    crossed = False
+    for _ in range(12):
+        space = random_instance(rng, total_splits=6, rows_range=(12, 16))
+        searcher = _Searcher(space, metric, build_constraints(space),
+                             SearchConfig())
+        for _ in range(6):
+            tree = random_tree(space, rng)
+            node, _ = searcher._evaluate(tree)
+            crossed |= node.cost + node.lb >= 2 ** 53
+            for path, move, _, lb, _, _ in pushed_children(searcher,
+                                                           node)[0]:
+                want = lower_bound(tree.apply_move(path, move),
+                                   searcher.bctx)
+                assert lb == want and type(lb) is type(want)
+        # whole costs and additive floors throughout: the guard decides
+        assert searcher._exact
+    assert crossed == crosses
 
 
 def walked_frontier(space, ctx, tree):
@@ -431,14 +516,14 @@ def test_derived_frontier_matches_the_grown_tree(seed, name):
     kids = []
     for path, move, _, _, _, kid in pushed_children(searcher, node)[0]:
         grown = tree.apply_move(path, move)
-        assert derived_frontier(space, searcher._derive(kid)) == \
+        assert derived_frontier(space, kid.up) == \
             walked_frontier(space, ctx, grown)
         kids.append((kid, grown))
     if not kids:
         return
     kid, tree = rng.choice(kids)
     for path, move, _, _, _, grandkid in pushed_children(searcher, kid)[0]:
-        assert derived_frontier(space, searcher._derive(grandkid)) == \
+        assert derived_frontier(space, grandkid.up) == \
             walked_frontier(space, ctx, tree.apply_move(path, move))
 
 
