@@ -23,8 +23,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .constraints import build_constraints
-from .dataset import ConfigError, DataError, load_config, load_dataset, \
-    sample_dataset
+from .dataset import ConfigError, DataError, is_count, is_finite_number, \
+    load_config, load_dataset, sample_dataset
 from .enumeration import MULTI_LIMIT, count_partitions, distinct_signatures, \
     enumerate_trees, multi_enumerate
 from .metrics import CountedBlock, make_metric, query_error_report, \
@@ -337,10 +337,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _counted_blocks(part, names):
     """The blocks of a loaded partition.json, each checked for a count
     and a [lo, hi] range per QI attribute in `names`."""
@@ -361,11 +357,12 @@ def _counted_blocks(part, names):
         for n in names:
             rng = bd["extent"].get(n)
             if not (isinstance(rng, list) and len(rng) == 2
-                    and all(map(_is_number, rng))):
+                    and all(map(is_finite_number, rng))):
                 raise ConfigError(f"{where}: extent of {n!r} must be [lo, hi]")
             extent.append(tuple(rng))
-        if not _is_number(bd["count"]):
-            raise ConfigError(f'{where}: "count" must be a number')
+        if not is_count(bd["count"]):
+            raise ConfigError(f'{where}: "count" must be a number, whole '
+                              'and >= 0')
         blocks.append(CountedBlock(tuple(extent), int(bd["count"])))
     return blocks
 
@@ -380,9 +377,6 @@ def _cmd_query(args) -> int:
         queries = json.load(fh)
     if not isinstance(queries, list):
         raise ConfigError("queries file must hold a JSON list")
-    for i, spec in enumerate(queries):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"queries[{i}]: expected an object")
     report = query_error_report(space, blocks, queries)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,8 +21,6 @@ another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .dataset import ConfigError
 
@@ -41,9 +39,6 @@ class KAnonymity:
 
     def block_ok(self, block) -> bool:
         return block.count == 0 or block.count >= self.k
-
-    def describe(self, block) -> str:
-        return f"block of size {block.count} < k={self.k}"
 
 
 class MinLength:
@@ -64,24 +59,17 @@ class MinLength:
             if not space.dataset.schema[attr_idx].is_numeric:
                 raise ConfigError(f"length restriction on categorical "
                                   f"attribute {name!r}")
-            if min_len <= 0:
-                raise ConfigError(f"length restriction for {name!r} "
-                                  "must be positive")
-            self.checks.append((qi_pos, name, float(min_len)))
+            if not 0 < min_len < math.inf:
+                raise ConfigError(f"length restriction for {name!r} must "
+                                  f"be finite and positive, got {min_len}")
+            self.checks.append((qi_pos, float(min_len)))
 
     def block_ok(self, block) -> bool:
-        for qi_pos, _, min_len in self.checks:
+        for qi_pos, min_len in self.checks:
             lo, hi = block.extent[qi_pos]
             if hi - lo < min_len - 1e-9:
                 return False
         return True
-
-    def describe(self, block) -> str:
-        for qi_pos, name, min_len in self.checks:
-            lo, hi = block.extent[qi_pos]
-            if hi - lo < min_len - 1e-9:
-                return f"{name} extent {hi - lo:g} < {min_len:g}"
-        return "?"
 
 
 class EntropyLDiversity:
@@ -92,8 +80,8 @@ class EntropyLDiversity:
     name = "l_diversity"
 
     def __init__(self, space, l, sensitive: str):
-        if l <= 1:
-            raise ConfigError("l must be > 1")
+        if not 1 < l < math.inf:
+            raise ConfigError(f"l must be finite and > 1, got {l}")
         self.l = float(l)
         self.space = space
         self.sensitive = sensitive
@@ -110,10 +98,6 @@ class EntropyLDiversity:
         if block.count == 0:
             return True
         return self.entropy(block) >= self.threshold - _ENTROPY_TOL
-
-    def describe(self, block) -> str:
-        return (f"entropy {self.entropy(block):.4f} < "
-                f"ln(l)={self.threshold:.4f}")
 
 
 def ordered_distance(p, q) -> float:
@@ -170,9 +154,6 @@ class TCloseness:
             return True
         return self.distance(block) <= self.t + _EMD_TOL
 
-    def describe(self, block) -> str:
-        return f"distance {self.distance(block):.4f} > t={self.t:g}"
-
 
 class EpsPrivacy:
     """Bounds what an attacker with sigma insider tuples and b fake tuples
@@ -186,8 +167,12 @@ class EpsPrivacy:
     def __init__(self, space, eps, sigma, b, sensitive: str, delta=0.0):
         if not eps > 1:
             raise ConfigError("eps must be > 1")
-        if sigma < 0 or b < 0:
-            raise ConfigError("sigma and b must be >= 0")
+        for field, value in (("sigma", sigma), ("b", b)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{field} must be finite and >= 0, "
+                                  f"got {value}")
+        if not math.isfinite(delta):
+            raise ConfigError(f"delta must be finite, got {delta}")
         if sigma + b == 0:
             raise ConfigError("sigma + b must be positive")
         self.eps = float(eps)
@@ -218,20 +203,6 @@ class EpsPrivacy:
             return False
         top = max(self.space.histogram(block, self.sensitive))
         return top / (n + self.b) <= self.r2_bound + 1e-12
-
-    def describe(self, block) -> str:
-        n = block.count
-        if n - self.b < self.r1_floor:
-            return (f"size {n} - b={self.b:g} below "
-                    f"(sigma+b)/(eps-1)={self.r1_floor:g}")
-        return f"a sensitive value exceeds ratio bound {self.r2_bound:g}"
-
-
-@dataclass(frozen=True)
-class Violation:
-    constraint: str
-    extent: tuple
-    detail: str
 
 
 class ConstraintSet:
@@ -275,15 +246,6 @@ class ConstraintSet:
 
     def feasible(self, blocks) -> bool:
         return all(not self.block_flags(b)[0] for b in blocks)
-
-    def first_violation(self, blocks) -> Optional[Violation]:
-        """Constraints are checked in their fixed order; the first failing
-        (constraint, block) pair is reported."""
-        for c in self.constraints:
-            for b in blocks:
-                if not c.block_ok(b):
-                    return Violation(c.name, b.extent, c.describe(b))
-        return None
 
 
 _ORDER = ("k_anonymity", "min_length", "l_diversity", "t_closeness",

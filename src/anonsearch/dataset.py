@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from itertools import islice
@@ -17,6 +18,19 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed data file. Messages carry file/row/column positions."""
+
+
+def is_finite_number(x) -> bool:
+    """`x` is a finite number as JSON gives one: an int or a float, not
+    a bool."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
+
+
+def is_count(x) -> bool:
+    """`x` is a finite, whole, non-negative number."""
+    return is_finite_number(x) and x >= 0 and x == int(x)
 
 
 NUMERIC = "numeric"
@@ -194,9 +208,10 @@ def load_config(source) -> tuple:
 
         if kind == NUMERIC:
             dom = a.get("domain")
-            if (not isinstance(dom, (list, tuple)) or len(dom) != 2):
-                raise ConfigError(
-                    f"attribute {name!r}: numeric domain must be [lo, hi]")
+            if not (isinstance(dom, (list, tuple)) and len(dom) == 2
+                    and all(map(is_finite_number, dom))):
+                raise ConfigError(f"attribute {name!r}: numeric domain must "
+                                  "be [lo, hi] of finite numbers")
             lo, hi = float(dom[0]), float(dom[1])
             if not lo < hi:
                 raise ConfigError(f"attribute {name!r}: empty domain")

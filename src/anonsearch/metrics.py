@@ -7,10 +7,11 @@ changes the total by the difference of their terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import ge, gt
 
-from .dataset import ConfigError
+from .dataset import ConfigError, is_finite_number
 
 
 class Metric:
@@ -85,8 +86,9 @@ class VolumeMetric(Metric):
                 self._lengths.append(float(attr.taxonomy.n_leaves))
         if unit_volume is None:
             unit_volume = self._min_cell_volume()
-        if unit_volume <= 0:
-            raise ConfigError("unit volume must be positive")
+        if not 0 < unit_volume < math.inf:
+            raise ConfigError("unit volume must be finite and positive, "
+                              f"got {unit_volume}")
         self.unit_volume = unit_volume
 
     def _min_cell_volume(self):
@@ -145,6 +147,8 @@ def parse_query(space, spec: dict) -> dict:
     Numeric attributes take [lo, hi] pairs; categorical attributes take a
     taxonomy label (any node: its whole leaf range is queried).
     """
+    if not isinstance(spec, dict):
+        raise ConfigError("expected an object")
     out = {}
     by_name = {space.dataset.schema[i].name: (qi_pos, i)
                for qi_pos, i in enumerate(space.qi)}
@@ -154,8 +158,10 @@ def parse_query(space, spec: dict) -> dict:
         qi_pos, attr_idx = by_name[name]
         attr = space.dataset.schema[attr_idx]
         if attr.is_numeric:
-            if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
-                raise ConfigError(f"query range for {name!r} must be [lo, hi]")
+            if not (isinstance(rng, (list, tuple)) and len(rng) == 2
+                    and all(map(is_finite_number, rng))):
+                raise ConfigError(f"query range for {name!r} must be "
+                                  "[lo, hi] of finite numbers")
             a, b = float(rng[0]), float(rng[1])
             if a > b:
                 raise ConfigError(f"query range for {name!r} is empty")
@@ -218,7 +224,10 @@ def query_error_report(space, blocks, queries) -> dict:
     """
     rows = []
     for i, spec in enumerate(queries):
-        q = parse_query(space, spec)
+        try:
+            q = parse_query(space, spec)
+        except ConfigError as exc:
+            raise ConfigError(f"queries[{i}]: {exc}") from None
         est = count_estimate(space, blocks, q)
         true = true_count(space, q)
         rel = abs(est - true) / max(true, 1)

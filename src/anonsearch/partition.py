@@ -408,15 +408,6 @@ def legal_ids(ancestry, ids) -> int:
     return legal | ids
 
 
-def detect_legal_move(tree: PartitionTree, path, move: Move) -> bool:
-    """Check that growing `path` by `move` keeps the tree reachable in the
-    duplicate-free order."""
-    for at, _, ancestry in tree.splittable_leaves():
-        if at == path:
-            return legal_ids(ancestry, move.bits) != 0
-    return False
-
-
 def legal_moves(tree: PartitionTree):
     """All (path, move) pairs producing a distinct-partition child: the
     splittable leaves in pre-order, each leaf's moves in id order."""
@@ -426,69 +417,6 @@ def legal_moves(tree: PartitionTree):
         legal = legal_ids(ancestry, sum(m.bits for m in moves))
         out.extend((path, m) for m in moves if legal & m.bits)
     return out
-
-
-# ---- switches ----
-
-def _case1(space: Space, n: Internal) -> Internal:
-    s1, s2 = n.split, n.left.split
-    lb, rb = space.apply_split(n.block, s2)
-    return Internal(s2, n.block,
-                    Internal(s1, lb, n.left.left, n.right.left),
-                    Internal(s1, rb, n.left.right, n.right.right))
-
-
-def _left_rotate(space: Space, n: Internal) -> Internal:
-    # lifts the right child's split; same-attribute parallel case
-    r = n.right
-    lb, _ = space.apply_split(n.block, r.split)
-    return Internal(r.split, n.block,
-                    Internal(n.split, lb, n.left, r.left), r.right)
-
-
-def _right_rotate(space: Space, n: Internal) -> Internal:
-    l = n.left
-    _, rb = space.apply_split(n.block, l.split)
-    return Internal(l.split, n.block, l.left,
-                    Internal(n.split, rb, l.right, n.right))
-
-
-def parent_child_switch(tree: PartitionTree, path, child=None) -> PartitionTree:
-    """Exchange the split at `path` with a child split, preserving the
-    partition. Orthogonal case: both children are internal with the same
-    split. Parallel case: one child splits the same attribute; `child`
-    ("left" or "right") selects it when both do.
-    """
-    n = tree.node_at(path)
-    if not isinstance(n, Internal):
-        raise ValueError("switch needs an internal node")
-    li = isinstance(n.left, Internal)
-    ri = isinstance(n.right, Internal)
-    if child is None:
-        if li and ri and n.left.split == n.right.split:
-            new = _case1(tree.space, n)
-        else:
-            left_par = li and n.left.split.attr == n.split.attr
-            right_par = ri and n.right.split.attr == n.split.attr
-            if left_par and right_par:
-                raise ValueError("ambiguous switch, pass child=")
-            if left_par:
-                new = _right_rotate(tree.space, n)
-            elif right_par:
-                new = _left_rotate(tree.space, n)
-            else:
-                raise ValueError("no switch applies at this node")
-    elif child == "left":
-        if not (li and n.left.split.attr == n.split.attr):
-            raise ValueError("left child does not split the same attribute")
-        new = _right_rotate(tree.space, n)
-    elif child == "right":
-        if not (ri and n.right.split.attr == n.split.attr):
-            raise ValueError("right child does not split the same attribute")
-        new = _left_rotate(tree.space, n)
-    else:
-        raise ValueError(f"bad child {child!r}")
-    return PartitionTree(tree.space, tree._replaced(tree.root, path, new))
 
 
 # ---- canonical form ----

@@ -15,7 +15,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field, replace
 
-from .dataset import ConfigError
+from .dataset import ConfigError, is_count, is_finite_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,10 +59,6 @@ class Move:
     def __post_init__(self):
         object.__setattr__(self, "id", self.splits[0].id)
         object.__setattr__(self, "bits", 1 << self.id)
-
-    @property
-    def qi_pos(self) -> int:
-        return self.splits[0].qi_pos
 
 
 class SplitSet:
@@ -128,7 +124,12 @@ def _numeric_cuts(attr, spec, dataset):
     if kind == "none":
         return []
     if kind == "explicit":
-        cuts = [float(v) for v in spec.get("values", ())]
+        values = spec.get("values", ())
+        if not (isinstance(values, (list, tuple))
+                and all(map(is_finite_number, values))):
+            raise ConfigError(f"attribute {attr.name!r}: explicit split "
+                              "values must be a list of finite numbers")
+        cuts = [float(v) for v in values]
         if len(cuts) != len(set(cuts)):
             raise ConfigError(f"attribute {attr.name!r}: duplicate split values")
         for v in cuts:
@@ -136,15 +137,15 @@ def _numeric_cuts(attr, spec, dataset):
                 raise ConfigError(f"attribute {attr.name!r}: split {v} not "
                                   f"strictly inside [{lo}, {hi}]")
         return sorted(cuts)
+    if kind in ("equi_width", "quantile"):
+        count = spec.get("count", 0)
+        if not is_count(count):
+            raise ConfigError(f"attribute {attr.name!r}: split count must "
+                              f"be a whole number >= 0, got {count!r}")
+        count = int(count)
     if kind == "equi_width":
-        count = int(spec.get("count", 0))
-        if count < 0:
-            raise ConfigError(f"attribute {attr.name!r}: negative split count")
         return [lo + i * (hi - lo) / (count + 1) for i in range(1, count + 1)]
     if kind == "quantile":
-        count = int(spec.get("count", 0))
-        if count < 0:
-            raise ConfigError(f"attribute {attr.name!r}: negative split count")
         if dataset is None:
             raise ConfigError(f"attribute {attr.name!r}: quantile splits "
                               "need data")
@@ -182,6 +183,9 @@ def generate_splits(schema, dataset=None) -> SplitSet:
         if spec is None:
             raise ConfigError(f"attribute {attr.name!r}: QI attributes need "
                               "a 'splits' entry (use type 'none' to opt out)")
+        if not isinstance(spec, dict):
+            raise ConfigError(f"attribute {attr.name!r}: 'splits' must be "
+                              "an object")
         if attr.is_numeric:
             for v in _numeric_cuts(attr, spec, dataset):
                 splits.append(Split(next_id, attr_idx, qi_pos, v, True))

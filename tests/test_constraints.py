@@ -236,16 +236,11 @@ def test_block_flags_distinguish_monotone(tax_space):
     assert cons.block_flags(mk(tax_space, [0, 1, 2, 3, 4])) == (False, False)
 
 
-def test_first_violation_reports_in_constraint_order(tax_space):
+def test_feasible_needs_every_block_to_pass(tax_space):
     cons = build_constraints(tax_space, k=2, t_close=0.05)
     skewed = mk(tax_space, [0, 3])
     tiny = mk(tax_space, [4])
-    # the closeness failure on the first block loses to the k failure on
-    # the second: constraints are the outer loop
-    v = cons.first_violation([skewed, tiny])
-    assert v.constraint == "k_anonymity"
-    assert v.extent == tiny.extent
-    assert "< k=2" in v.detail
-    assert cons.first_violation([mk(tax_space, [0, 1, 2, 3, 4])]) is None
+    assert cons.feasible([skewed, tiny]) is False
+    assert cons.feasible([mk(tax_space, [0, 1, 2, 3, 4])]) is True
     assert cons.feasible([mk(tax_space, [0, 2, 4]),
                           mk(tax_space, [1, 3])]) is False

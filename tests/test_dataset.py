@@ -96,6 +96,9 @@ def test_taxonomy_subtree_ranges_contiguous():
     *(({"attributes": [{"name": "c", "kind": "categorical", "values": v}]},
        "attribute 'c': 'values' must be a nonempty list")
       for v in ([], "ab", "a", None, {"a": 1})),
+    *(({"attributes": [{"name": "age", "kind": "numeric", "domain": d}]},
+       "attribute 'age': numeric domain must be")
+      for d in ([17, "ninety"], [17, None], [0, float("inf")], [True, 9])),
 ])
 def test_bad_configs(doc, msg):
     with pytest.raises(ConfigError, match=msg):

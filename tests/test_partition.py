@@ -1,7 +1,6 @@
 import gc
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +8,7 @@ from anonsearch.constraints import build_constraints
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.metrics import make_metric
 from anonsearch.partition import (Block, Internal, Leaf, PartitionTree, Space,
-                                  detect_legal_move, is_legal, legal_moves,
-                                  normalize, parent_child_switch)
+                                  is_legal, legal_moves, normalize)
 from anonsearch.search import SearchConfig, search
 from anonsearch.splits import Move
 
@@ -162,15 +160,7 @@ def test_cut_masks_match_geometry(seed):
     grown = [canonical, loose, normalize(loose), space.root_tree(),
              PartitionTree(space, rebuild_canonical(space,
                                                     loose.leaf_blocks()))]
-    trees = list(grown)
-    for tree in (canonical, loose):
-        for path, node in tree.pre_order():
-            for child in (None, "left", "right"):
-                try:
-                    trees.append(parent_child_switch(tree, path, child))
-                except ValueError:
-                    pass
-    for tree in trees:
+    for tree in grown:
         for _, node in tree.pre_order():
             for s in space.splits.splits:
                 assert (node.cuts >> s.id & 1) == geometric_is_cut(node, s)
@@ -203,18 +193,19 @@ def test_cut_masks_match_geometry(seed):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_detect_legal_move_matches_head_by_head_reference(seed):
+def test_legal_moves_matches_head_by_head_reference(seed):
     # the mask walk reads only each ancestor's other child; the reference
     # re-tests every head's whole subtree geometrically
     rng = random.Random(seed)
     space = chain_instance(rng)
     for _ in range(4):
         tree = random_tree(space, rng, max_moves=8)
+        legal = set(legal_moves(tree))
         for path, node in tree.pre_order():
             if not isinstance(node, Leaf):
                 continue
             for move in space.available_moves(node.block):
-                assert detect_legal_move(tree, path, move) == \
+                assert ((path, move) in legal) == \
                     reference_legal_move(tree, path, move)
 
 
@@ -222,11 +213,11 @@ def test_duplicate_partition_blocked(grid_space):
     # after cutting at x=2, adding x=1 anywhere below is illegal: the
     # same partition is reachable with x=1 applied first
     t = grid_space.root_tree().apply_move((), mv(grid_space, 2))
-    assert not detect_legal_move(t, (0,), mv(grid_space, 1))
-    assert detect_legal_move(t, (1,), mv(grid_space, 3))
+    assert ((0,), mv(grid_space, 1)) not in legal_moves(t)
+    assert ((1,), mv(grid_space, 3)) in legal_moves(t)
     # mirrored order is fine: x=2 after x=1
     t2 = grid_space.root_tree().apply_move((), mv(grid_space, 1))
-    assert detect_legal_move(t2, (1,), mv(grid_space, 2))
+    assert ((1,), mv(grid_space, 2)) in legal_moves(t2)
 
 
 def test_pending_leaf_counts_as_cut(grid_space):
@@ -236,11 +227,11 @@ def test_pending_leaf_counts_as_cut(grid_space):
     # makes that duplicate (the same partition grows from x=2 first).
     t = grid_space.root_tree().apply_move((), mv(grid_space, 4))
     t = t.apply_move((0,), mv(grid_space, 2))
-    assert not detect_legal_move(t, (1,), mv(grid_space, 2))
+    assert ((1,), mv(grid_space, 2)) not in legal_moves(t)
     # mirror image: completing the y=1 cut under an x=2 root is legal
     t2 = grid_space.root_tree().apply_move((), mv(grid_space, 2))
     t2 = t2.apply_move((0,), mv(grid_space, 4))
-    assert detect_legal_move(t2, (1,), mv(grid_space, 4))
+    assert ((1,), mv(grid_space, 4)) in legal_moves(t2)
 
 
 def test_legal_moves_only_grow_new_partitions(grid_space):
@@ -257,65 +248,6 @@ def test_legal_moves_only_grow_new_partitions(grid_space):
                 seen.add(sig)
                 nxt.append(child)
         frontier = nxt
-
-
-# ---- switches ----
-
-def test_orthogonal_switch_swaps_grandchildren(grid_space):
-    t = grid_space.root_tree().apply_move((), mv(grid_space, 1))
-    t = t.apply_move((0,), mv(grid_space, 4))
-    t = t.apply_move((1,), mv(grid_space, 4))
-    n = t.node_at(())
-    assert n.left.split == n.right.split
-    s = parent_child_switch(t, ())
-    assert s.node_at(()).split.id == 4
-    assert s.signature() == t.signature()
-    assert parent_child_switch(s, ()).root == t.root
-
-
-def test_parallel_switch_rotates(grid_space):
-    t = grid_space.root_tree().apply_move((), mv(grid_space, 1))
-    t = t.apply_move((1,), mv(grid_space, 2))
-    s = parent_child_switch(t, (), child="right")
-    assert s.node_at(()).split.id == 2
-    assert s.node_at((0,)).split.id == 1
-    assert s.signature() == t.signature()
-    back = parent_child_switch(s, (), child="left")
-    assert back.root == t.root
-
-
-def test_switch_rejects_leaf_and_mismatched_child(grid_space):
-    t = grid_space.root_tree()
-    with pytest.raises(ValueError):
-        parent_child_switch(t, ())
-    t = t.apply_move((), mv(grid_space, 1)).apply_move((1,), mv(grid_space, 4))
-    with pytest.raises(ValueError, match="same attribute"):
-        parent_child_switch(t, (), child="right")
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_switch_preserves_partition_and_inverts(seed):
-    rng = random.Random(seed)
-    space = random_instance(rng)
-    tree = random_loose_tree(space, rng)
-    for path, node in tree.pre_order():
-        if isinstance(node, Leaf):
-            continue
-        for child in ("left", "right"):
-            try:
-                s = parent_child_switch(tree, path, child=child)
-            except ValueError:
-                continue
-            assert s.signature() == tree.signature()
-            other = "left" if child == "right" else "right"
-            assert parent_child_switch(s, path, child=other).root == tree.root
-        if (isinstance(node.left, Internal) and isinstance(node.right,
-                                                           Internal)
-                and node.left.split == node.right.split):
-            s = parent_child_switch(tree, path)
-            assert s.signature() == tree.signature()
-            assert parent_child_switch(s, path).root == tree.root
 
 
 # ---- canonical form ----

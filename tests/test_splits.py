@@ -68,6 +68,21 @@ def test_explicit_outside_domain_rejected():
         generate_splits(load_config(numeric_cfg([10])))
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "equi_width", "count": "many"},
+    {"type": "equi_width", "count": 2.5},
+    {"type": "quantile", "count": None},
+    {"type": "explicit", "values": ["x"]},
+    {"type": "explicit", "values": 5},
+    [{"type": "equi_width", "count": 2}],
+])
+def test_malformed_split_spec_rejected(spec):
+    cfg = {"attributes": [{"name": "age", "kind": "numeric", "role": "qi",
+                           "domain": [17, 90], "splits": spec}]}
+    with pytest.raises(ConfigError, match="attribute 'age': "):
+        generate_splits(load_config(cfg))
+
+
 def test_qi_without_split_spec_rejected():
     cfg = {"attributes": [
         {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 1]}]}
