@@ -2,9 +2,11 @@
 the one owner of a solve's block statistics.
 
 A `BoundContext` serves one solve of one `(space, metric, constraints)`:
-it memoizes each block's exact cost, constraint flags and
-finest-refinement cost by extent, for the search and for greedy alike.
-`ConstraintSet` and the metrics hold no per-block state.
+it keeps one record per block extent (`ExtentRecord`), for the search
+and for greedy alike. A record holds the block's exact cost, constraint
+flags and finest-refinement cost and, for the search, the move table of
+the block (`fill`). `ConstraintSet` and the metrics hold no per-block
+state.
 
 Only leaves that are still splittable (those after the most recent move
 head in pre-order) can be refined; every other leaf pays its exact cost. A
@@ -31,19 +33,52 @@ so its bounds equal `lower_bound` of the node's tree bit for bit.
 from __future__ import annotations
 
 
+def is_whole(x) -> bool:
+    """Whether `x` is a non-negative whole number."""
+    return x >= 0 and x % 1 == 0
+
+
+class ExtentRecord:
+    """Everything one solve knows of one block extent: the block, its
+    exact `cost`, its `flags` `(fails_any, fails_monotone)`, its `floor`
+    (the finest-refinement cost, None until `min_cost` computes it) and,
+    once the search expands a frontier holding it, its moves, their id
+    bits and its move table: `known` has the bits of the moves filled in
+    (`BoundContext.fill`), `bad` those whose child adds a monotone
+    failure, and `terms` maps each other filled move's id to `(records,
+    costs, floors, d_any)` of its new blocks in `move_blocks` order,
+    `d_any` their any-failure count minus the old block's."""
+
+    __slots__ = ("block", "cost", "flags", "floor", "moves", "ids", "terms",
+                 "known", "bad")
+
+    def __init__(self, block, cost, flags):
+        self.block = block
+        self.cost = cost
+        self.flags = flags
+        self.floor = self.moves = self.ids = self.terms = None
+        self.known = self.bad = 0
+
+
 class BoundContext:
-    """The per-extent statistics of one solve: `cost`, `flags` and
-    `min_cost` of a block, each memoized by extent for the life of the
-    context. A metric or constraint that reads a `Space` must read this
-    one; another is refused with a `ValueError` naming it.
+    """The per-extent statistics of one solve: one `ExtentRecord` per
+    extent, made with the block's cost and flags on its first read and
+    kept for the life of the context. A metric or constraint that reads a
+    `Space` must read this one; another is refused with a `ValueError`
+    naming it.
 
     The finest-cell table lives on the `Space`; this keeps the metric's
     floor of each non-empty cell under the constraints' minimum block
     size, built on the first `min_cost` call, so a solve that reads no
-    floor (greedy) builds none. A new extent's `min_cost` is one addition
-    per cell of the block, in ascending cell order: the order of the
-    cells' first rows, so row order can move only the last ulp of a vm
-    sum; dm and cm floors are integers, exact in any order.
+    floor (greedy) builds none. A new floor is one addition per cell of
+    the block, in ascending cell order: the order of the cells' first
+    rows, so row order can move only the last ulp of a vm sum; dm and cm
+    floors are integers, exact in any order.
+
+    `exact` stays True while every floor computed, and the cost of its
+    block, is a whole number and every filled move's floors add up to
+    its block's: the search's test for sharing one bound between a
+    frontier leaf's children.
     """
 
     def __init__(self, space, metric, constraints):
@@ -55,29 +90,32 @@ class BoundContext:
         self.space = space
         self.metric = metric
         self.cons = constraints
-        self._costs: dict = {}
-        self._flags: dict = {}
-        self._mins: dict = {}
+        self.exact = True
+        self._records: dict = {}   # extent -> ExtentRecord
         self._floors = None
+
+    def record(self, block) -> ExtentRecord:
+        """The record of `block`'s extent."""
+        rec = self._records.get(block.extent)
+        if rec is None:
+            rec = self._records[block.extent] = ExtentRecord(
+                block, self.metric.block_cost(block),
+                self.cons.block_flags(block))
+        return rec
 
     def cost(self, block) -> float:
         """The metric's exact cost of `block`."""
-        hit = self._costs.get(block.extent)
-        if hit is None:
-            hit = self._costs[block.extent] = self.metric.block_cost(block)
-        return hit
+        return self.record(block).cost
 
     def flags(self, block):
         """`(fails_any, fails_monotone)` of `block` under the constraints."""
-        hit = self._flags.get(block.extent)
-        if hit is None:
-            hit = self._flags[block.extent] = self.cons.block_flags(block)
-        return hit
+        return self.record(block).flags
 
     def min_cost(self, block) -> float:
-        hit = self._mins.get(block.extent)
-        if hit is not None:
-            return hit
+        """The finest-refinement cost of `block`: its floor."""
+        rec = self.record(block)
+        if rec.floor is not None:
+            return rec.floor
         floors = self._floors
         if floors is None:
             space, size_floor = self.space, self.cons.min_block_size()
@@ -87,8 +125,29 @@ class BoundContext:
         total = 0.0
         for cell in block.cells:
             total += floors[cell]
-        self._mins[block.extent] = total
+        rec.floor = total
+        if not (is_whole(rec.cost) and is_whole(total)):
+            self.exact = False
         return total
+
+    def fill(self, rec: ExtentRecord, ids):
+        """Fill `rec`'s move table for its moves with bits in `ids`."""
+        old_any, old_mono = rec.flags
+        for move in rec.moves:
+            if not ids & move.bits:
+                continue
+            new = tuple(map(self.record,
+                            self.space.move_blocks(rec.block, move)))
+            if sum(r.flags[1] for r in new) > old_mono:
+                rec.bad |= move.bits
+                continue
+            floors = tuple(self.min_cost(r.block) if r.floor is None
+                           else r.floor for r in new)
+            if sum(floors) != rec.floor:
+                self.exact = False
+            rec.terms[move.id] = (new, tuple(r.cost for r in new), floors,
+                                  sum(r.flags[0] for r in new) - old_any)
+        rec.known |= ids
 
 
 def frontier(tree, ctx: BoundContext):

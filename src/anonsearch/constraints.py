@@ -248,14 +248,11 @@ class ConstraintSet:
         return all(not self.block_flags(b)[0] for b in blocks)
 
 
-_ORDER = ("k_anonymity", "min_length", "l_diversity", "t_closeness",
-          "eps_privacy")
-
-
 def build_constraints(space, k=None, min_lengths=None, l_div=None,
                       t_close=None, eps=None, sensitive=None,
                       assume_monotone=()) -> ConstraintSet:
-    """Assemble the standard constraint stack in its fixed order.
+    """Assemble the standard constraint stack in its fixed order:
+    k-anonymity, min length, l-diversity, t-closeness, eps-privacy.
 
     `sensitive` names the attribute used by the distribution constraints;
     it defaults to the schema's first sensitive attribute. Names listed in
@@ -289,6 +286,4 @@ def build_constraints(space, k=None, min_lengths=None, l_div=None,
     for c in out:
         if c.name in assume_monotone:
             c.monotone = True
-    order = {name: i for i, name in enumerate(_ORDER)}
-    out.sort(key=lambda c: order[c.name])
     return ConstraintSet(out)

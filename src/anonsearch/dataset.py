@@ -131,7 +131,11 @@ def taxonomy_from_dict(spec) -> TaxonomyTree:
     def build(d):
         if not isinstance(d, dict) or "label" not in d:
             raise ConfigError("taxonomy nodes need a 'label' key")
-        children = [build(c) for c in d.get("children", [])]
+        children = d.get("children", [])
+        if not isinstance(children, list):
+            raise ConfigError(f"taxonomy node {d['label']!r}: 'children' "
+                              f"must be a list, got {children!r}")
+        children = [build(c) for c in children]
         return TaxonomyNode(str(d["label"]), children)
 
     return TaxonomyTree(build(spec))
@@ -179,13 +183,24 @@ def load_config(source) -> tuple:
         doc = source
     else:
         doc = json.load(source)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object, got "
+                          f"{type(doc).__name__}")
 
     attrs_spec = doc.get("attributes")
     if not isinstance(attrs_spec, list) or not attrs_spec:
         raise ConfigError("config needs a nonempty 'attributes' list")
 
-    taxonomies = {name: taxonomy_from_dict(spec)
-                  for name, spec in (doc.get("taxonomies") or {}).items()}
+    tax_specs = doc.get("taxonomies") or {}
+    if not isinstance(tax_specs, dict):
+        raise ConfigError("'taxonomies' must be an object of named "
+                          f"taxonomies, got {tax_specs!r}")
+    taxonomies = {}
+    for name, spec in tax_specs.items():
+        try:
+            taxonomies[name] = taxonomy_from_dict(spec)
+        except ConfigError as exc:
+            raise ConfigError(f"taxonomy {name!r}: {exc}") from None
 
     schema = []
     seen = set()
@@ -193,8 +208,9 @@ def load_config(source) -> tuple:
         if not isinstance(a, dict):
             raise ConfigError("attribute entries must be objects")
         name = a.get("name")
-        if not name:
-            raise ConfigError("attribute without a name")
+        if not name or not isinstance(name, str):
+            raise ConfigError("attribute name must be a nonempty string, "
+                              f"got {name!r}")
         if name in seen:
             raise ConfigError(f"duplicate attribute {name!r}")
         seen.add(name)
@@ -221,11 +237,11 @@ def load_config(source) -> tuple:
             if "values" in a:
                 tax = flat_taxonomy(name, a["values"])
             elif "taxonomy" in a:
-                try:
-                    tax = taxonomies[a["taxonomy"]]
-                except KeyError:
+                ref = a["taxonomy"]
+                if not isinstance(ref, str) or ref not in taxonomies:
                     raise ConfigError(f"attribute {name!r}: taxonomy "
-                                      f"{a['taxonomy']!r} not defined") from None
+                                      f"{ref!r} not defined")
+                tax = taxonomies[ref]
             else:
                 raise ConfigError(f"attribute {name!r}: categorical attributes "
                                   "need 'taxonomy' or 'values'")

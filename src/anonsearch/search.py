@@ -26,9 +26,10 @@ Every partition not yet offered as the incumbent descends from one of
 those nodes, so no other source is needed; with no incumbent and no
 node left the bound is `inf`.
 
-A node is held as its frontier, not as a tree: its refinable leaves, a
-pre-order suffix of its leaves, each with its path, the memo of its
-extent (`_Ext`: block, exact cost, floor, moves and child terms), its
+A node is the tuple `(cost, lb, fail_any, front)`, held as its
+frontier, not as a tree: its refinable leaves, a pre-order suffix of its
+leaves, each with its path, its extent's record in the `BoundContext`
+(`ExtentRecord`: block, exact cost, flags, floor and move table), its
 ancestry as `splittable_leaves` gives it, and the depth of its lowest
 common ancestor with the leaf before it; plus `frozen`, the exact cost
 of the leaves before the frontier added in pre-order, and the node's
@@ -38,16 +39,17 @@ search ends. Only the root's frontier comes from a tree walk.
 Expanding a node scores its children without building them, one
 frontier leaf at a time (`_expand`, for the main loop and the probe's
 dive). Per leaf i one `legal_ids` walk decides all its moves; the
-leaf's move table (`_Ext`) holds each legal move's child terms, or
-marks the move `bad`: its child adds a monotone failure and is counted,
-never scored. `pre[i]` is `frozen` plus the costs of leaves 0..i-1, and
-growing leaf i freezes those leaves, so a child's bound is `pre[i]`,
-plus each new block's floor, plus the floors of the leaves after i,
-added in that order: the float `lower_bound` gives on the child's tree.
-The new blocks split leaf i's finest cells, so when these sums are
-exact (whole costs and floors, as for dm and cm, and no sum reaching
-2**53) all children of leaf i share one bound, a running sum: the
-node's bound plus each earlier leaf's cost minus its floor. A leaf whose
+leaf's move table, filled by `BoundContext.fill`, holds each legal
+move's child terms, or marks the move `bad`: its child adds a monotone
+failure and is counted, never scored. `pre[i]` is `frozen` plus the
+costs of leaves 0..i-1, and growing leaf i freezes those leaves, so a
+child's bound is `pre[i]`, plus each new block's floor, plus the floors
+of the leaves after i, added in that order: the float `lower_bound`
+gives on the child's tree. The new blocks split leaf i's finest cells,
+so when these sums are exact (whole costs and floors, as for dm and cm,
+and no sum reaching 2**53) all children of leaf i share one bound, a
+running sum: the node's bound plus each earlier leaf's cost minus its
+floor. A leaf whose
 shared bound reaches the incumbent is counted and pruned in one step.
 Otherwise each child is scored, offered and pushed in `legal_moves`
 order, the bad moves counted where that order reaches them, so a probe
@@ -75,7 +77,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .bounds import BoundContext, frontier, lower_bound
+from .bounds import BoundContext, frontier, is_whole, lower_bound
 from .constraints import ConstraintSet
 from .frontiers import HEAD, Frontiers
 from .metrics import Metric
@@ -84,11 +86,6 @@ from .partition import (PartitionTree, Space, canonical_tree, is_legal,
                         legal_ids, legal_moves)
 
 INF = math.inf
-
-
-def _whole(x) -> bool:
-    """Whether `x` is a non-negative whole number."""
-    return x >= 0 and x % 1 == 0
 
 
 class SearchConfigError(ValueError):
@@ -158,40 +155,6 @@ class SearchResult:
         return None if self.best_tree is None else self.best_tree.leaf_blocks()
 
 
-class _Ext:
-    """The search's memo of one block extent: the block, its exact and
-    finest-refinement cost and, once a frontier holding it is expanded,
-    its moves, their id bits and its move table: `known` has the bits of
-    the moves filled in (`_fill`), `bad` those whose child adds a
-    monotone failure, and `terms` maps each other filled move's id to
-    `(exts, costs, floors, d_any)` of its new blocks in `move_blocks`
-    order, `d_any` their any-failure count minus the old block's."""
-
-    __slots__ = ("block", "cost", "floor", "moves", "ids", "terms", "known",
-                 "bad")
-
-    def __init__(self, block, cost, floor):
-        self.block = block
-        self.cost = cost
-        self.floor = floor
-        self.moves = self.ids = self.terms = None
-        self.known = self.bad = 0
-
-
-@dataclass(slots=True)
-class _Node:
-    """A scored tree with no block failing a monotone constraint, held as
-    its frontier `up`."""
-    cost: float
-    lb: float
-    fail_any: int     # blocks violating any constraint
-    up: tuple         # (lineage, frozen, path, _Ext, ancestry, lca, ...)
-
-    def line(self):
-        """The node's lineage, from which `_grow` grows its tree."""
-        return self.up[0]
-
-
 def _grow(line) -> PartitionTree:
     """The tree of a lineage: a tree, or `(line, path, move)`."""
     steps = []
@@ -209,7 +172,6 @@ class _Searcher:
         self.cfg = config
         self.seed_tree = seed_tree
         self.bctx = BoundContext(space, metric, constraints)
-        self._exts: dict = {}     # extent -> _Ext
         self._fronts = Frontiers()
         self.stats = SearchStats()
         self.progress: list = []
@@ -221,22 +183,13 @@ class _Searcher:
         self._seq = 0
         self._by_cost = config.priority == "cost"
         self._lb_at = 1 if self._by_cost else 0   # a queue entry's bound
-        # every cost and floor met so far is a whole number, and every
-        # filled move's floors add up to its block's: see `_expand`
-        self._exact = True
         self._t0 = time.monotonic()
 
-    # ---- frontiers ----
+    # ---- nodes ----
 
-    def _ext(self, block) -> _Ext:
-        ext = self._exts.get(block.extent)
-        if ext is None:
-            ctx = self.bctx
-            ext = self._exts[block.extent] = _Ext(block, ctx.cost(block),
-                                                  ctx.min_cost(block))
-            if not (_whole(ext.cost) and _whole(ext.floor)):
-                self._exact = False
-        return ext
+    # A node is a scored tree with no block failing a monotone constraint,
+    # held as the tuple `(cost, lb, fail_any, front)`: `fail_any` counts
+    # its blocks violating any constraint, `front` is its frontier.
 
     def _evaluate(self, tree):
         """`(node, fail_mono)` of a tree scored from a walk of it: its
@@ -252,8 +205,9 @@ class _Searcher:
             fm += m
         lb = lower_bound(tree, ctx)
         head = (tree, frontier(tree, ctx)[0][0])
-        front = self._fronts.of_tree(tree, head, self._ext)
-        return _Node(cost, lb, fa, front), fm
+        # `lower_bound` has computed the floor of every frontier leaf
+        front = self._fronts.of_tree(tree, head, ctx.record)
+        return (cost, lb, fa, front), fm
 
     def _derive(self, front, at, move) -> tuple:
         """The frontier of the child grown at `front[at]` by `move`, from
@@ -267,38 +221,18 @@ class _Searcher:
             front, at, move, front[at + 1].terms[move.id][0],
             ((front[0], front[at], move), frozen))
 
-    def _node(self, entry) -> _Node:
+    def _node(self, entry) -> tuple:
         """The node of a queue entry, a queued child's frontier derived."""
         k0, k1, _, fail_any, front, at, move = entry
         if at is not None:
             front = self._derive(front, at, move)
         if self._by_cost:
-            return _Node(k0, k1, fail_any, front)
-        return _Node(k1, k0, fail_any, front)
+            return k0, k1, fail_any, front
+        return k1, k0, fail_any, front
 
     # ---- scoring ----
 
-    def _fill(self, ext, ids):
-        """Fill `ext`'s move table for its moves with bits in `ids`."""
-        ctx = self.bctx
-        old_any, old_mono = ctx.flags(ext.block)
-        for move in ext.moves:
-            if not ids & move.bits:
-                continue
-            new = self.space.move_blocks(ext.block, move)
-            flags = [ctx.flags(nb) for nb in new]
-            if sum(m for _, m in flags) > old_mono:
-                ext.bad |= move.bits
-                continue
-            exts = tuple(map(self._ext, new))
-            floors = tuple(x.floor for x in exts)
-            if sum(floors) != ext.floor:
-                self._exact = False
-            ext.terms[move.id] = (exts, tuple(x.cost for x in exts), floors,
-                                  sum(a for a, _ in flags) - old_any)
-        ext.known |= ids
-
-    def _expand(self, node: _Node, dive=False):
+    def _expand(self, node, dive=False):
         """Score the legal children of `node` without building them.
 
         Each child with no block failing a monotone constraint is
@@ -314,7 +248,8 @@ class _Searcher:
         share a bound at or above the incumbent is counted and pruned
         whole.
         """
-        front = node.up
+        node_cost, node_lb, node_any, front = node
+        ctx = self.bctx
         stats = self.stats
         alpha = self.cfg.alpha
         max_queue = self.cfg.max_queue
@@ -327,28 +262,28 @@ class _Searcher:
         # that all these additions are exact, the children of leaf i share
         # the bound `pre[i]` plus the floors from leaf i on: `shared`, the
         # node's bound plus each earlier leaf's cost minus its floor
-        shared = node.lb if self._exact and _whole(pre) else None
+        shared = node_lb if ctx.exact and is_whole(pre) else None
         for at in range(HEAD, len(front), 4):
-            path, ext, ancestry = front[at:at + 3]
+            path, rec, ancestry = front[at:at + 3]
             if shared is not None and shared >= 2 ** 53:
                 shared = None
             frozen, lb = pre, shared
-            pre += ext.cost
+            pre += rec.cost
             if shared is not None:
-                shared += ext.cost - ext.floor
-            if ext.moves is None:
-                moves = ext.moves = self.space.available_moves(ext.block)
-                ext.ids = sum(m.bits for m in moves)
-                ext.terms = {}
-            legal = legal_ids(ancestry, ext.ids)
+                shared += rec.cost - rec.floor
+            if rec.moves is None:
+                moves = rec.moves = self.space.available_moves(rec.block)
+                rec.ids = sum(m.bits for m in moves)
+                rec.terms = {}
+            legal = legal_ids(ancestry, rec.ids)
             if not legal:
                 continue
-            if legal & ~ext.known:
-                self._fill(ext, legal & ~ext.known)
-            bad = legal & ext.bad
+            if legal & ~rec.known:
+                ctx.fill(rec, legal & ~rec.known)
+            bad = legal & rec.bad
             live = legal ^ bad
             rest = None
-            if lb is not None and self._exact:
+            if lb is not None and ctx.exact:
                 if lb >= self.best and not dive:
                     # nothing to offer: a feasible child costs at least
                     # its bound
@@ -361,9 +296,9 @@ class _Searcher:
             else:
                 rest = [x.floor for x in front[at + 5::4]]
             counted = 0
-            base = node.cost - ext.cost
-            terms = ext.terms
-            for move in ext.moves:
+            base = node_cost - rec.cost
+            terms = rec.terms
+            for move in rec.moves:
                 if not live:
                     break
                 bits = move.bits
@@ -386,7 +321,7 @@ class _Searcher:
                         lb += floor
                     for floor in rest:
                         lb += floor
-                fa = node.fail_any + d_any
+                fa = node_any + d_any
                 stats.generated += 1
                 if not fa and cost < self.best:
                     self._set_best(cost, (front[0], path, move))
@@ -455,15 +390,16 @@ class _Searcher:
 
     # ---- probe: incumbent dive + queue reduction ----
 
-    def _dive(self, node: _Node):
+    def _dive(self, node):
         while not self._out_of_budget():
             pick = self._expand(node, dive=True)
             if pick is None:
                 return
             cost, lb, at, move = pick
-            if node.fail_any == 0 and cost >= node.cost:
+            node_cost, _, node_any, front = node
+            if node_any == 0 and cost >= node_cost:
                 return
-            node = _Node(cost, lb, 0, self._derive(node.up, at, move))
+            node = (cost, lb, 0, self._derive(front, at, move))
 
     def _probe(self):
         stats = self.stats
@@ -499,12 +435,13 @@ class _Searcher:
     def run(self) -> SearchResult:
         cfg = self.cfg
         root, root_mono = self._evaluate(self.space.root_tree())
+        root_cost, root_lb, root_any, root_front = root
         self.stats.generated += 1
         if root_mono:
             return self._finish(drained=True)
         # the root is open until it is queued or pruned, so the progress
         # rows of the incumbents offered here count its bound
-        self.open_lb = root.lb
+        self.open_lb = root_lb
 
         seed = self.seed_tree
         if seed is not None:
@@ -515,25 +452,25 @@ class _Searcher:
             if not is_legal(seed):
                 raise ValueError("seed tree is not in canonical form")
             self._set_best(sum(map(ctx.cost, blocks)), seed)
-        if root.fail_any == 0 and root.cost < self.best:
-            self._set_best(root.cost, root.line())
+        if root_any == 0 and root_cost < self.best:
+            self._set_best(root_cost, root_front[0])
 
-        if root.fail_any == 0 and root.cost <= root.lb:
+        if root_any == 0 and root_cost <= root_lb:
             return self._finish(drained=True)
 
         self.open_lb = INF
         stats = self.stats
-        if cfg.alpha * root.lb < self.best:
+        if cfg.alpha * root_lb < self.best:
             # a queue entry is `(key, key, seq, fail_any, front, at, move)`:
             # the child grown at `front[at]` by `move`, or with `at` None
             # the node whose frontier `front` is
-            key = ((root.cost, root.lb) if self._by_cost
-                   else (root.lb, root.cost))
+            key = ((root_cost, root_lb) if self._by_cost
+                   else (root_lb, root_cost))
             heapq.heappush(self.heap,
-                           (*key, 0, root.fail_any, root.up, None, None))
+                           (*key, 0, root_any, root_front, None, None))
         else:
             stats.pruned_bound += 1
-            self.discard_min = min(self.discard_min, root.lb)
+            self.discard_min = min(self.discard_min, root_lb)
 
         lb_at = self._lb_at
         budget_hit = False

@@ -8,7 +8,7 @@ from anonsearch.bounds import BoundContext, lower_bound
 from anonsearch.constraints import build_constraints
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.metrics import make_metric
-from anonsearch.partition import Leaf, Space, legal_moves
+from anonsearch.partition import Block, Leaf, Space, legal_moves
 from anonsearch.search import SearchConfig, search
 from anonsearch.splits import Move
 
@@ -58,6 +58,47 @@ def test_size_floor_uses_min_admissible_size():
     for k, want in [(2, 6), (1, 5)]:
         ctx = BoundContext(space, metric, build_constraints(space, k=k))
         assert ctx.min_cost(blk) == want
+
+
+def test_one_record_per_extent_with_its_move_table():
+    space = worked_space()
+    k = 5
+    ctx = BoundContext(space, make_metric("dm", space),
+                       build_constraints(space, k=k))
+    root = space.root_block
+    twin = Block(root.extent, root.cells, root.count)
+    rec = ctx.record(root)
+    assert ctx.record(twin) is rec and rec.block is root
+    assert rec.floor is None   # made with its cost and flags, no floor
+    assert (ctx.cost(twin), ctx.flags(twin)) == (rec.cost, rec.flags) \
+        == (225, (False, False))
+    assert ctx.min_cost(twin) == rec.floor == k * 15
+    # the search opens a record's move table before it fills it
+    rec.moves = space.available_moves(root)
+    rec.ids = sum(m.bits for m in rec.moves)
+    rec.terms = {}
+    ctx.fill(rec, rec.ids)
+    assert rec.known == rec.ids
+    bad = good = 0
+    for move in rec.moves:
+        new = space.move_blocks(root, move)
+        if any(b.count < k for b in new):
+            bad += 1
+            assert rec.bad & move.bits and move.id not in rec.terms
+            continue
+        good += 1
+        assert not rec.bad & move.bits
+        records, costs, floors, d_any = rec.terms[move.id]
+        assert records == tuple(map(ctx.record, new))
+        assert costs == tuple(b.count ** 2 for b in new)
+        assert sum(floors) == rec.floor and d_any == 0
+    assert bad and good
+    assert ctx.exact   # whole dm costs and floors that add up
+    # vm costs in a unit that does not divide the blocks' volumes
+    vm = BoundContext(space, make_metric("vm", space, unit_volume=0.7),
+                      build_constraints(space, k=2))
+    vm.min_cost(root)
+    assert not vm.exact
 
 
 def test_size_floor_comes_from_l_diversity_alone():

@@ -374,6 +374,16 @@ def test_bad_json_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object(tmp_path, capsys):
+    data, _ = write_instance(tmp_path)
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert main(["search", "--dataset", data, "--config", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config must be a JSON object, got list" in \
+        capsys.readouterr().err
+
+
 def test_bad_min_length_argument(tmp_path, capsys):
     data, config = write_instance(tmp_path)
     assert main(["search", *base_args(data, config), "--min-length", "x:2",
@@ -489,6 +499,32 @@ def test_same_outputs_script_smoke():
     assert proc.stdout.splitlines() == [
         "adult3k-dm (700 rows) [--node-limit 200]: "
         "same (partition.json, progress.csv, result.json)"]
+
+
+def test_code_lines_script_smoke(tmp_path):
+    script = ROOT / "scripts" / "code_lines.py"
+    (tmp_path / "b.py").write_text(
+        '"""Module docstring."""\n\n'
+        "# a comment\n"
+        "def f(x):\n"
+        '    """Docstring."""\n\n'
+        "    return (x +\n"
+        "            1)\n\n\n"
+        "class E(Exception):\n"
+        '    """Only a docstring."""\n')
+    (tmp_path / "a.py").write_text("X = 1\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["a.py 1", "b.py 4", "total 5"]
+    # the default is this checkout's package
+    proc = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "search.py" in {line.split()[0] for line in lines}
+    assert lines[-1].startswith("total ")
 
 
 def test_same_outputs_names_the_first_difference(monkeypatch):

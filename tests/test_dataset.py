@@ -99,6 +99,16 @@ def test_taxonomy_subtree_ranges_contiguous():
     *(({"attributes": [{"name": "age", "kind": "numeric", "domain": d}]},
        "attribute 'age': numeric domain must be")
       for d in ([17, "ninety"], [17, None], [0, float("inf")], [True, 9])),
+    ({"attributes": [{"name": "c", "kind": "categorical", "taxonomy": "t"}],
+      "taxonomies": [1]}, "'taxonomies' must be an object"),
+    ({"attributes": [{"name": "c", "kind": "categorical", "taxonomy": "t"}],
+      "taxonomies": {"t": {"label": "a", "children": 5}}},
+     "taxonomy 't': taxonomy node 'a': 'children' must be a list"),
+    ({"attributes": [{"name": ["x"], "kind": "numeric", "domain": [0, 1]}]},
+     r"attribute name must be a nonempty string, got \['x'\]"),
+    ({"attributes": [{"name": "c", "kind": "categorical", "taxonomy": ["t"]}],
+      "taxonomies": {"t": {"label": "a"}}},
+     r"attribute 'c': taxonomy \['t'\] not defined"),
 ])
 def test_bad_configs(doc, msg):
     with pytest.raises(ConfigError, match=msg):

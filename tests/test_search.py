@@ -249,7 +249,7 @@ def pushed_children(searcher, node, dive=False):
     for entry in entries:   # keyed by lb, the default priority
         lb, cost, _, fail_any, front, at, move = entry
         kid = searcher._node(entry)
-        assert (kid.cost, kid.lb, kid.fail_any) == (cost, lb, fail_any)
+        assert kid[:3] == (cost, lb, fail_any)
         pushed.append((front[at], move, cost, lb, fail_any, kid))
     return pushed, pick
 
@@ -303,10 +303,11 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
             prefix = 0.0
             for b in blocks[:len(blocks) - len(child.splittable_leaves())]:
                 prefix += searcher.bctx.cost(b)
-            frozen = queued.up[1]
+            ref_cost, _, ref_any, _ = ref
+            frozen = queued[3][1]
             assert frozen == prefix and type(frozen) is float
-            assert (fa, 0) == (ref.fail_any, ref_mono)
-            assert cost == pytest.approx(ref.cost, rel=1e-12)
+            assert (fa, 0) == (ref_any, ref_mono)
+            assert cost == pytest.approx(ref_cost, rel=1e-12)
         assert kid is None
         assert stats.generated - generated == len(pushed) + skipped
         assert stats.pruned_infeasible - pruned == skipped
@@ -317,7 +318,7 @@ def test_children_match_legal_moves_and_reference_bound(seed, name):
         dived, pick = pushed_children(searcher, dive_node, dive=True)
         assert dived == []
         if pick is not None:   # `(cost, lb, at, move)`
-            pick = (*pick[:2], dive_node.up[pick[2]], pick[3])
+            pick = (*pick[:2], dive_node[3][pick[2]], pick[3])
         assert stats.generated - generated == len(pushed) + skipped
         assert stats.pruned_infeasible == pruned
         feasible = [(cost, lb, path, move)
@@ -342,6 +343,7 @@ def reference_expansion(searcher, tree, node, best, alpha):
     discard_min)` and, per pushed child, the children generated up to
     it and its `(path, move, cost, lb, fail_any)`."""
     ctx = searcher.bctx
+    node_cost = node[0]
     blocks = {path: leaf.block for path, leaf, _ in tree.splittable_leaves()}
     generated = pruned = infeasible = 0
     least = math.inf
@@ -353,7 +355,7 @@ def reference_expansion(searcher, tree, node, best, alpha):
         if any(mono for _, mono in flags):
             infeasible += 1
             continue
-        cost = node.cost - ctx.cost(blocks[path])
+        cost = node_cost - ctx.cost(blocks[path])
         for b in searcher.space.move_blocks(blocks[path], move):
             cost += ctx.cost(b)
         lb = lower_bound(child, ctx)
@@ -460,14 +462,15 @@ def test_shared_bound_is_used_only_below_2_53(scale, crosses):
         for _ in range(6):
             tree = random_tree(space, rng)
             node, _ = searcher._evaluate(tree)
-            crossed |= node.cost + node.lb >= 2 ** 53
+            cost, lb = node[:2]
+            crossed |= cost + lb >= 2 ** 53
             for path, move, _, lb, _, _ in pushed_children(searcher,
                                                            node)[0]:
                 want = lower_bound(tree.apply_move(path, move),
                                    searcher.bctx)
                 assert lb == want and type(lb) is type(want)
         # whole costs and additive floors throughout: the guard decides
-        assert searcher._exact
+        assert searcher.bctx.exact
     assert crossed == crosses
 
 
@@ -511,19 +514,19 @@ def test_derived_frontier_matches_the_grown_tree(seed, name):
     ctx = searcher.bctx
     tree = random_tree(space, rng)
     node, _ = searcher._evaluate(tree)
-    assert derived_frontier(space, node.up) == \
+    assert derived_frontier(space, node[3]) == \
         walked_frontier(space, ctx, tree)
     kids = []
     for path, move, _, _, _, kid in pushed_children(searcher, node)[0]:
         grown = tree.apply_move(path, move)
-        assert derived_frontier(space, kid.up) == \
+        assert derived_frontier(space, kid[3]) == \
             walked_frontier(space, ctx, grown)
         kids.append((kid, grown))
     if not kids:
         return
     kid, tree = rng.choice(kids)
     for path, move, _, _, _, grandkid in pushed_children(searcher, kid)[0]:
-        assert derived_frontier(space, grandkid.up) == \
+        assert derived_frontier(space, grandkid[3]) == \
             walked_frontier(space, ctx, tree.apply_move(path, move))
 
 
@@ -561,7 +564,7 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
 
     def counted(self, node, dive=False):
         # every legal move of the node is generated, scored or not
-        tree = _grow(node.line())
+        tree = _grow(node[3][0])
         fanout[0] = max(fanout[0], len(legal_moves(tree)))
         return expand(self, node, dive)
 
