@@ -11,12 +11,15 @@ and then named in each line), then runs `search` on it twice per flag
 set, each time in a fresh process: once with BASE_CHECKOUT's `src/` and
 once with this checkout's. Each `--flags` value is one flag set, split like a
 shell command line and appended to the workload's flags, so it overrides
-them; `--flags ""` is the workload's flags alone, the only set when no
-`--flags` is given. Write `--flags=--improve` when the set is a single
-word starting with `-`. It compares `result.json` without
-`stats.elapsed_sec`, `partition.json`, and `progress.csv` without its
-`elapsed_ms` column, prints one line per workload and flag set and exits
-1 if any output differs or either run fails. A line that reports a
+them; `--flags ""` is the workload's flags alone. Write
+`--flags=--improve` when the set is a single word starting with `-`.
+With no `--flags`, the sets are `DEFAULT_FLAGS`: the workload's flags
+alone, then with the vm metric, the cm metric, a small queue cap, approx
+mode and cost priority, each under a node limit. It compares
+`result.json` without `stats.elapsed_sec`, `partition.json`, and
+`progress.csv` without its `elapsed_ms` column, prints one line per
+workload and flag set and exits 1 if any output differs or either run
+fails. A line that reports a
 difference names, per differing file, where it first differs and both
 values, base first: a key path such as `stats.generated: 100027 !=
 100031`, or a row of `progress.csv` or line of `partition.json`.
@@ -35,6 +38,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+
+DEFAULT_FLAGS = ("", "--metric vm --node-limit 3000",
+                 "--metric cm --node-limit 3000",
+                 "--max-queue 20 --node-limit 5000",
+                 "--mode approx --alpha 1.5 --node-limit 5000",
+                 "--priority cost --max-queue 400 --node-limit 5000")
 
 RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
        "from anonsearch.cli import main; sys.exit(main(sys.argv[2:]))")
@@ -127,7 +136,7 @@ def main(argv=None) -> int:
                     help="rows to generate (default: the workload's)")
     ap.add_argument("--flags", action="append", type=shlex.split,
                     help="extra search flags, one set per use "
-                         "(default: none)")
+                         "(default: the six DEFAULT_FLAGS sets)")
     args = ap.parse_args(argv)
     if args.rows is not None and args.rows < 1:
         ap.error(f"--rows must be >= 1, got {args.rows}")
@@ -147,7 +156,8 @@ def main(argv=None) -> int:
                 shown = f"{name} ({args.rows} rows)"
             data, cfg = make_instance(spec, manifest["data"]["data_seed"],
                                       args.seed, tmp / name)
-            for n, extra in enumerate(args.flags or [[]]):
+            for n, extra in enumerate(
+                    args.flags or map(shlex.split, DEFAULT_FLAGS)):
                 label = f"{shown} [{shlex.join(extra)}]" if extra else shown
                 flags = [*spec["flags"], *extra]
                 got, errors = [], []

@@ -415,10 +415,8 @@ def main(argv=None) -> int:
         if args.command == "query":
             return _cmd_query(args)
         raise AssertionError(args.command)
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, DataError, OSError) as exc:
+        # OSError: a path that is missing, a directory or not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

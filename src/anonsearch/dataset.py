@@ -177,8 +177,11 @@ def load_config(source) -> tuple:
     a categorical attribute may instead inline its values via `values`.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            doc = json.load(fh)
+        try:
+            with open(source) as fh:
+                doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
     elif isinstance(source, dict):
         doc = source
     else:
@@ -340,32 +343,39 @@ def load_dataset(path, schema) -> Dataset:
     is parsed and checked once per column; a text that fails is never
     remembered. At the first fault the file is read again record by
     record (`_first_error`), so the error names the line where the first
-    faulty record starts, and its column."""
+    faulty record starts, and its column. A record the csv module refuses
+    (a field over its size limit) names the line it was read to, and text
+    that does not decode names the file."""
     names = [a.name for a in schema]
     width = len(schema)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != names:
-            raise DataError(f"{path}: header {header!r} does not match "
-                            f"schema attributes {names!r}")
-        columns = [[] for _ in schema]
-        memos = [{} for _ in schema]    # per column: raw text -> value
-        while chunk := list(islice(reader, CHUNK_ROWS)):
-            records = list(filter(None, chunk))
-            if records and set(map(len, records)) != {width}:
-                _first_error(path, schema, memos)
-            for attr, memo, column, raw in zip(schema, memos, columns,
-                                               zip(*records)):
-                for text in set(raw).difference(memo):
-                    try:
-                        memo[text] = _parse(attr, text)
-                    except ValueError:
-                        _first_error(path, schema, memos)
-                column.extend(map(memo.__getitem__, raw))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if [h.strip() for h in header] != names:
+                raise DataError(f"{path}: header {header!r} does not match "
+                                f"schema attributes {names!r}")
+            columns = [[] for _ in schema]
+            memos = [{} for _ in schema]    # per column: raw text -> value
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                records = list(filter(None, chunk))
+                if records and set(map(len, records)) != {width}:
+                    _first_error(path, schema, memos)
+                for attr, memo, column, raw in zip(schema, memos, columns,
+                                                   zip(*records)):
+                    for text in set(raw).difference(memo):
+                        try:
+                            memo[text] = _parse(attr, text)
+                        except ValueError:
+                            _first_error(path, schema, memos)
+                    column.extend(map(memo.__getitem__, raw))
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not any(columns):
         raise DataError(f"{path}: no data rows")
     return Dataset(schema, columns)

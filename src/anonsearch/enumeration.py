@@ -56,7 +56,7 @@ def multi_enumerate(space: Space):
             yield leaves
             for i in range(start, len(leaves)):
                 head, tail = leaves[:i], leaves[i + 1:]
-                for move in space.available_moves(leaves[i]):
+                for move in space.available_moves(leaves[i].extent):
                     stack.append((head + space.move_blocks(leaves[i], move)
                                   + tail, i))
 

@@ -68,9 +68,13 @@ class Leaf:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Internal:
-    """Nodes are never changed once made. They are not frozen because a
-    frozen dataclass sets each field through `object.__setattr__`, which
-    makes a node about twice as slow to build.
+    """A node holds only its split, its children and their cut mask. Its
+    region, the union of its leaves' blocks, is not stored: the canonical
+    form carries extents down from the root (`split_extents`) and needs
+    no cells. Nodes are never changed once made. They are not frozen
+    because a frozen dataclass sets each field through
+    `object.__setattr__`, which makes a node about twice as slow to
+    build.
 
     `cuts` has bit s set iff split s is a full cut of the subtree: its
     plane crosses the node's extent and no leaf below straddles it. That
@@ -79,13 +83,27 @@ class Internal:
     split of another attribute that is a full cut of both children.
     """
     split: Split
-    block: Block
     left: object   # tree-left: lower-id side
     right: object
     cuts: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.cuts = node_cuts(self.split, self.left.cuts, self.right.cuts)
+
+
+def split_extents(extent, s: Split):
+    """The (tree-left, tree-right) child extents of `extent` split by `s`.
+    Raises ValueError if `s` does not cut `extent`."""
+    lo, hi = extent[s.qi_pos]
+    if not lo < s.plane < hi:
+        raise ValueError(f"{s} does not cut extent {extent}")
+    plane = s.plane if s.numeric else int(s.plane)
+    base = list(extent)
+    base[s.qi_pos] = (lo, plane)
+    lower = tuple(base)
+    base[s.qi_pos] = (plane, hi)
+    upper = tuple(base)
+    return (lower, upper) if s.numeric else (upper, lower)
 
 
 def node_cuts(s: Split, lc: int, rc: int) -> int:
@@ -145,7 +163,6 @@ class Space:
             self.cell_counts[cell] += 1
         self.root_block = Block(tuple(extent), tuple(range(len(index))),
                                 len(self.cell_of))
-        self._split_cache: dict = {}
         self._moves_cache: dict = {}
         self._label_tables: dict = {}
 
@@ -191,28 +208,16 @@ class Space:
         A cell lies above the split's plane when its slot along the split
         attribute is past the plane's; that side is tree-right for a
         numeric split and tree-left for a categorical one."""
-        key = (block.extent, s.id)
-        hit = self._split_cache.get(key)
-        if hit is not None:
-            return hit
-        lo, hi = block.extent[s.qi_pos]
-        if not lo < s.plane < hi:
-            raise ValueError(f"{s} does not cut extent {block.extent}")
+        left, right = split_extents(block.extent, s)
         slot = self._slots[s.qi_pos]
         at = self._slot_of_plane[s.id]
         below, above = [], []
         for c in block.cells:
             (above if slot[c] > at else below).append(c)
-        n_below = sum(map(self.cell_counts.__getitem__, below))
-        plane = s.plane if s.numeric else int(s.plane)
-        base = list(block.extent)
-        base[s.qi_pos] = (lo, plane)
-        lower = Block(tuple(base), tuple(below), n_below)
-        base[s.qi_pos] = (plane, hi)
-        upper = Block(tuple(base), tuple(above), block.count - n_below)
-        out = (lower, upper) if s.numeric else (upper, lower)
-        self._split_cache[key] = out
-        return out
+        cells_l, cells_r = (below, above) if s.numeric else (above, below)
+        n_left = sum(map(self.cell_counts.__getitem__, cells_l))
+        return (Block(left, tuple(cells_l), n_left),
+                Block(right, tuple(cells_r), block.count - n_left))
 
     def move_blocks(self, block: Block, move: Move):
         """Blocks produced when a move is applied to `block`."""
@@ -224,8 +229,9 @@ class Space:
         out.append(cur)
         return out
 
-    def available_moves(self, block: Block):
-        """Moves applicable to a block, in increasing id order.
+    def available_moves(self, extent):
+        """Moves applicable to a block with extent `extent`, in increasing
+        id order.
 
         Numeric splits must fall strictly inside the extent. A sibling set
         applies only to a block whose extent along the attribute is exactly
@@ -233,12 +239,12 @@ class Space:
         extent and is memoized per extent: it is shared between callers,
         who must not mutate it.
         """
-        moves = self._moves_cache.get(block.extent)
+        moves = self._moves_cache.get(extent)
         if moves is not None:
             return moves
         moves = []
         for qi_pos, attr_idx in enumerate(self.qi):
-            lo, hi = block.extent[qi_pos]
+            lo, hi = extent[qi_pos]
             attr = self.dataset.schema[attr_idx]
             if attr.is_numeric:
                 for s in self.splits.by_attr.get(attr_idx, ()):
@@ -249,7 +255,7 @@ class Space:
                 if exp is not None:
                     moves.append(exp)
         moves.sort(key=lambda m: m.id)
-        self._moves_cache[block.extent] = moves
+        self._moves_cache[extent] = moves
         return moves
 
 
@@ -344,10 +350,10 @@ class PartitionTree:
         if not path:
             return sub
         if path[0]:
-            return Internal(node.split, node.block, node.left,
+            return Internal(node.split, node.left,
                             self._replaced(node.right, path[1:], sub))
-        return Internal(node.split, node.block,
-                        self._replaced(node.left, path[1:], sub), node.right)
+        return Internal(node.split, self._replaced(node.left, path[1:], sub),
+                        node.right)
 
     def apply_move(self, path, move: Move) -> "PartitionTree":
         """Grow the leaf at `path` by a move. No legality checking here."""
@@ -356,14 +362,13 @@ class PartitionTree:
             raise ValueError("moves apply to leaves")
         # a chain down the tree-right side: each split cuts the block
         # the previous one left on its tree-right
-        block, links = leaf.block, []
+        block, lefts = leaf.block, []
         for s in move.splits:
-            left, right = self.space.apply_split(block, s)
-            links.append((s, block, left))
-            block = right
+            left, block = self.space.apply_split(block, s)
+            lefts.append(left)
         sub = Leaf(block)
-        for s, block, left in reversed(links):
-            sub = Internal(s, block, Leaf(left), sub)
+        for s, left in zip(reversed(move.splits), reversed(lefts)):
+            sub = Internal(s, Leaf(left), sub)
         return PartitionTree(self.space, self._replaced(self.root, path, sub))
 
 
@@ -413,7 +418,7 @@ def legal_moves(tree: PartitionTree):
     splittable leaves in pre-order, each leaf's moves in id order."""
     out = []
     for path, leaf, ancestry in tree.splittable_leaves():
-        moves = tree.space.available_moves(leaf.block)
+        moves = tree.space.available_moves(leaf.block.extent)
         legal = legal_ids(ancestry, sum(m.bits for m in moves))
         out.extend((path, m) for m in moves if legal & m.bits)
     return out
@@ -429,40 +434,43 @@ def _respects_all(blocks, s: Split) -> bool:
     return True
 
 
-def _canon_node(space: Space, block, blocks):
-    """Rebuild the canonical subtree over `blocks`, a partition of
-    `block`: apply the lowest-id move that every block respects, route
-    the blocks into its cells and recurse."""
-    if len(blocks) == 1:
+def _canon_node(space: Space, extent, blocks):
+    """Rebuild the canonical subtree over `blocks`, a partition of the
+    region `extent`: apply the lowest-id move that every block respects,
+    route the blocks into its cells and recurse. Raises ValueError if
+    `blocks` is no partition of the region."""
+    if len(blocks) == 1 and blocks[0].extent == extent:
         return Leaf(blocks[0])
-    moves = [m for m in space.available_moves(block)
-             if all(_respects_all(blocks, s) for s in m.splits)]
-    move = min(moves, key=lambda m: m.id)
-    return _canon_chain(space, move.splits, block, blocks)
+    for move in space.available_moves(extent):
+        if all(_respects_all(blocks, s) for s in move.splits):
+            return _canon_chain(space, move.splits, extent, blocks)
+    raise ValueError(f"the blocks are no partition of {extent}")
 
 
-def _canon_chain(space: Space, splits, block, blocks):
-    """The chain of `splits` over `block`, each split's tree-left child
+def _canon_chain(space: Space, splits, extent, blocks):
+    """The chain of `splits` over `extent`, each split's tree-left child
     and the last tree-right one rebuilt over the `blocks` inside them."""
     if not splits:
-        return _canon_node(space, block, blocks)
+        return _canon_node(space, extent, blocks)
     s = splits[0]
-    lb, rb = space.apply_split(block, s)
+    left_extent, right_extent = split_extents(extent, s)
     left, rest = [], []
     for blk in blocks:
         lo, hi = blk.extent[s.qi_pos]
         side = hi <= s.plane if s.numeric else lo >= s.plane
         (left if side else rest).append(blk)
-    return Internal(s, block, _canon_node(space, lb, left),
-                    _canon_chain(space, splits[1:], rb, rest))
+    return Internal(s, _canon_node(space, left_extent, left),
+                    _canon_chain(space, splits[1:], right_extent, rest))
 
 
 def canonical_tree(space: Space, blocks) -> PartitionTree:
     """Canonical legal tree of the partition `blocks` of the whole space:
     at every node the smallest-id applicable move that all blocks respect
     sits on top, recursively. A categorical expansion counts as one move
-    with the id of its first cut."""
-    return PartitionTree(space, _canon_node(space, space.root_block, blocks))
+    with the id of its first cut. Works on extents alone and splits no
+    cells; raises ValueError if `blocks` is no partition of the space."""
+    return PartitionTree(space, _canon_node(space, space.root_block.extent,
+                                            blocks))
 
 
 def normalize(tree: PartitionTree) -> PartitionTree:
@@ -472,5 +480,6 @@ def normalize(tree: PartitionTree) -> PartitionTree:
 
 def is_legal(tree: PartitionTree) -> bool:
     """A tree is reachable by the duplicate-free order iff it equals its
-    canonical form."""
+    canonical form. Raises ValueError if its leaves are no partition of
+    the space."""
     return normalize(tree).root == tree.root

@@ -272,7 +272,8 @@ class _Searcher:
             if shared is not None:
                 shared += rec.cost - rec.floor
             if rec.moves is None:
-                moves = rec.moves = self.space.available_moves(rec.block)
+                moves = rec.moves = self.space.available_moves(
+                    rec.block.extent)
                 rec.ids = sum(m.bits for m in moves)
                 rec.terms = {}
             legal = legal_ids(ancestry, rec.ids)
@@ -571,7 +572,7 @@ def mondrian_greedy(space: Space, metric: Metric,
         block = stack.pop()
         best = None
         # moves come in id order, so a tie keeps the lowest id
-        for move in space.available_moves(block):
+        for move in space.available_moves(block.extent):
             new_blocks = space.move_blocks(block, move)
             if any(ctx.flags(nb)[0] for nb in new_blocks):
                 continue

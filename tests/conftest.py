@@ -8,7 +8,7 @@ import pytest
 from anonsearch.bounds import BoundContext
 from anonsearch.dataset import DataError, Dataset, load_config
 from anonsearch.enumeration import enumerate_trees
-from anonsearch.partition import Block, Internal, Leaf, Space, normalize
+from anonsearch.partition import Internal, Leaf, Space, normalize
 from anonsearch.search import GreedyResult
 from anonsearch.splits import generate_splits
 
@@ -209,7 +209,7 @@ def random_loose_tree(space: Space, rng: random.Random, max_moves=6):
     for _ in range(rng.randint(0, max_moves)):
         options = []
         for path, leaf in reference_splittable_leaves(tree):
-            for move in space.available_moves(leaf.block):
+            for move in space.available_moves(leaf.block.extent):
                 options.append((path, move))
         if not options:
             break
@@ -307,24 +307,31 @@ def is_cut(node, s, pending=None) -> bool:
     return is_cut(node.left, s, pending) and is_cut(node.right, s, pending)
 
 
+def hull(extents):
+    """The smallest extent holding all of `extents`."""
+    return tuple((min(lo for lo, _ in sides), max(hi for _, hi in sides))
+                 for sides in zip(*extents))
+
+
 def geometric_is_cut(node, s, pending=None) -> bool:
     """Plane-geometry definition of a full cut: the plane passes strictly
-    through the node's extent but through no settled leaf's extent."""
-    lo, hi = node.block.extent[s.qi_pos]
-    if not lo < s.plane < hi:
-        return False
-    stack = [node]
+    through the node's extent, the hull of its leaves' extents, but
+    through no settled leaf's extent."""
+    leaves, stack = [], [node]
     while stack:
         n = stack.pop()
         if isinstance(n, Leaf):
-            if n is pending:
-                continue
-            a, b = n.block.extent[s.qi_pos]
-            if a < s.plane < b:
-                return False
+            leaves.append(n)
         else:
             stack.append(n.left)
             stack.append(n.right)
+    lo, hi = hull(n.block.extent for n in leaves)[s.qi_pos]
+    if not lo < s.plane < hi:
+        return False
+    for n in leaves:
+        a, b = n.block.extent[s.qi_pos]
+        if n is not pending and a < s.plane < b:
+            return False
     return True
 
 
@@ -390,13 +397,6 @@ def rebuild_canonical(space: Space, blocks):
     of one taxonomy node form a single move laid out in id order. Written
     independently of the library's normalization."""
 
-    def union(bs):
-        ext = tuple((min(b.extent[q][0] for b in bs),
-                     max(b.extent[q][1] for b in bs))
-                    for q in range(len(bs[0].extent)))
-        cells = tuple(sorted(c for b in bs for c in b.cells))
-        return Block(ext, cells, sum(b.count for b in bs))
-
     def respected(bs, qi_pos, plane):
         return all(not (b.extent[qi_pos][0] < plane < b.extent[qi_pos][1])
                    for b in bs)
@@ -410,11 +410,11 @@ def rebuild_canonical(space: Space, blocks):
             stack.extend(n.children)
         return None
 
-    def applicable_moves(ub, bs):
+    def applicable_moves(ext, bs):
         out = []
         for qi_pos, attr_idx in enumerate(space.qi):
             attr = space.dataset.schema[attr_idx]
-            lo, hi = ub.extent[qi_pos]
+            lo, hi = ext[qi_pos]
             here = space.splits.by_attr.get(attr_idx, ())
             if attr.is_numeric:
                 for s in here:
@@ -434,12 +434,11 @@ def rebuild_canonical(space: Space, blocks):
     def rec(bs):
         if len(bs) == 1:
             return Leaf(bs[0])
-        ub = union(bs)
-        moves = applicable_moves(ub, bs)
+        moves = applicable_moves(hull(b.extent for b in bs), bs)
         assert moves, "partition admits no applicable move"
         unit = min(moves, key=lambda u: u[0].id)
 
-        def chain(b, i, group):
+        def chain(i, group):
             if i == len(unit):
                 return rec(group)
             s = unit[i]
@@ -450,9 +449,9 @@ def rebuild_canonical(space: Space, blocks):
                 left = [x for x in group if x.extent[s.qi_pos][0] >= s.plane]
                 rest = [x for x in group if x.extent[s.qi_pos][1] <= s.plane]
             assert len(left) + len(rest) == len(group)
-            return Internal(s, b, rec(left), chain(union(rest), i + 1, rest))
+            return Internal(s, rec(left), chain(i + 1, rest))
 
-        return chain(ub, 0, bs)
+        return chain(0, bs)
 
     return rec(list(blocks))
 
@@ -470,7 +469,7 @@ def reachable_partitions(space: Space) -> set:
         hit = memo.get(block.extent)
         if hit is None:
             hit = {frozenset([block.extent])}
-            for move in space.available_moves(block):
+            for move in space.available_moves(block.extent):
                 unions = [frozenset()]
                 for nb in space.move_blocks(block, move):
                     unions = [u | p for u in unions for p in parts(nb)]
@@ -507,7 +506,7 @@ def reference_greedy(space: Space, metric, constraints) -> GreedyResult:
         """`(delta, move.id, move, new_blocks)` of the block's best
         feasible move, or None. Depends on the block alone."""
         best = None
-        for move in space.available_moves(block):
+        for move in space.available_moves(block.extent):
             new_blocks = space.move_blocks(block, move)
             if any(ctx.flags(nb)[0] for nb in new_blocks):
                 continue
@@ -551,7 +550,7 @@ def finest_cells(space: Space, block) -> list:
     stack = [block]
     while stack:
         b = stack.pop()
-        moves = space.available_moves(b)
+        moves = space.available_moves(b.extent)
         if not moves:
             out.append(b)
         else:

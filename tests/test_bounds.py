@@ -74,7 +74,7 @@ def test_one_record_per_extent_with_its_move_table():
         == (225, (False, False))
     assert ctx.min_cost(twin) == rec.floor == k * 15
     # the search opens a record's move table before it fills it
-    rec.moves = space.available_moves(root)
+    rec.moves = space.available_moves(root.extent)
     rec.ids = sum(m.bits for m in rec.moves)
     rec.terms = {}
     ctx.fill(rec, rec.ids)
@@ -216,8 +216,8 @@ def test_min_cost_with_rows_on_cell_boundaries(name):
     space = build_space(cfg, rows)
     seen = {}
     for tree in enumerate_trees(space):
-        for _, node in tree.pre_order():
-            seen.setdefault(node.block.extent, node.block)
+        for block in tree.leaf_blocks():
+            seen.setdefault(block.extent, block)
     assert len(seen) == 6 * 7   # x ranges times taxonomy nodes
     for k in (1, 2, 3):
         metric = make_metric(name, space)

@@ -121,17 +121,19 @@ def test_cell_blocks_match_row_scans(seed):
     # block is smaller than that or k
     size_floor = max(k, math.ceil(l_div))
 
-    def replay(node, ref, sblock):
-        yield node.block, ref, sblock
+    def replay(node, block, ref, sblock):
+        yield block, ref, sblock
         if isinstance(node, Internal):
+            bl, br = space.apply_split(block, node.split)
             rl, rr = reference_apply_split(columns, ref, node.split)
             sl, sr = shuffled.apply_split(sblock, node.split)
-            yield from replay(node.left, rl, sl)
-            yield from replay(node.right, rr, sr)
+            yield from replay(node.left, bl, rl, sl)
+            yield from replay(node.right, br, rr, sr)
 
     for _ in range(4):
         tree = random_tree(space, rng)
-        for block, ref, sblock in replay(tree.root, row_root(space),
+        for block, ref, sblock in replay(tree.root, space.root_block,
+                                         row_root(space),
                                          shuffled.root_block):
             assert block.extent == ref.extent == sblock.extent
             assert block.count == ref.count == sblock.count

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -400,6 +401,38 @@ def test_bad_data_value(tmp_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+def _huge_field(path):
+    # the csv module refuses a field over 131,072 characters
+    path.write_text("w,x,s\nfed,0.2,a\nfed,0.2," + "a" * 131073 + "\n")
+
+
+@pytest.mark.parametrize("command, target, make, where", [
+    pytest.param("search", "dataset", Path.mkdir, "", id="dataset-is-dir"),
+    pytest.param("search", "config", Path.mkdir, "", id="config-is-dir"),
+    pytest.param("search", "dataset",
+                 lambda p: p.write_bytes(b"w,x,s\nfed,0.2,\xff\n"), "",
+                 id="dataset-not-utf8"),
+    pytest.param("search", "config",
+                 lambda p: p.write_bytes(b'{"attributes": "\xff"}'), "",
+                 id="config-not-utf8"),
+    pytest.param("search", "out", Path.touch, "", id="search-out-is-file"),
+    pytest.param("greedy", "out", Path.touch, "", id="greedy-out-is-file"),
+    pytest.param("search", "dataset", _huge_field, ":3:",
+                 id="csv-field-too-large"),
+])
+def test_bad_input_paths_exit_2_naming_the_path(tmp_path, capsys, command,
+                                                target, make, where):
+    data, config = write_instance(tmp_path)
+    paths = {"dataset": data, "config": config, "out": str(tmp_path / "o")}
+    bad = tmp_path / f"bad-{target}"
+    make(bad)
+    paths[target] = str(bad)
+    assert main([command, "--dataset", paths["dataset"], "--config",
+                 paths["config"], "--out", paths["out"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}{where}" in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--metric", "vm", "--unit-volume", "inf"], "unit volume must be"),
     (["--metric", "vm", "--unit-volume", "nan"], "unit volume must be"),
@@ -554,6 +587,31 @@ def test_same_outputs_names_the_first_difference(monkeypatch):
         "line 3: '  \"b\": 2' != '  \"b\": 3'"
     assert first_difference("a\nb\n", "a\nb") == \
         "same lines, other line endings"
+
+
+def test_same_outputs_runs_six_flag_sets_by_default(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import same_outputs
+    ran = []
+    monkeypatch.setattr(same_outputs, "solve",
+                        lambda src, data, cfg, flags, out: ran.append(flags))
+    # no instance is written: the script imports `make_instance` from
+    # perfbench's `run`, here a stand-in
+    monkeypatch.setitem(sys.modules, "run", SimpleNamespace(
+        make_instance=lambda spec, data_seed, seed, out: (out, out)))
+    assert same_outputs.main([str(ROOT), "--workload", "taxo3k-exact"]) == 0
+    labels = [line.split(": ")[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert labels == [
+        "taxo3k-exact",
+        "taxo3k-exact [--metric vm --node-limit 3000]",
+        "taxo3k-exact [--metric cm --node-limit 3000]",
+        "taxo3k-exact [--max-queue 20 --node-limit 5000]",
+        "taxo3k-exact [--mode approx --alpha 1.5 --node-limit 5000]",
+        "taxo3k-exact [--priority cost --max-queue 400 --node-limit 5000]"]
+    # both sides of each set, the set after the workload's own flags
+    assert len(ran) == 12 and ran[2][-4:] == ["--metric", "vm",
+                                               "--node-limit", "3000"]
 
 
 def test_traced_solve_reaches_every_patched_layer(tmp_path):

@@ -1,14 +1,17 @@
+import dataclasses
 import gc
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsearch.constraints import build_constraints
 from anonsearch.enumeration import enumerate_trees
 from anonsearch.metrics import make_metric
-from anonsearch.partition import (Block, Internal, Leaf, PartitionTree, Space,
-                                  is_legal, legal_moves, normalize)
+from anonsearch.partition import (Internal, Leaf, PartitionTree, Space,
+                                  canonical_tree, is_legal, legal_moves,
+                                  normalize)
 from anonsearch.search import SearchConfig, search
 from anonsearch.splits import Move
 
@@ -69,18 +72,18 @@ def test_move_blocks_chain_covers_children(tax_space):
 def test_available_moves_numeric_interior_only(grid_space):
     root = grid_space.root_block
     left, _ = grid_space.apply_split(root, grid_space.splits.by_id[2])
-    ids = [m.id for m in grid_space.available_moves(left)]
+    ids = [m.id for m in grid_space.available_moves(left.extent)]
     assert ids == [1, 4, 5]  # x=1 inside (0,2); y cuts; x=3 excluded
 
 
 def test_available_moves_categorical_exact_range_only(tax_space):
     root = tax_space.root_block
-    moves = tax_space.available_moves(root)
+    moves = tax_space.available_moves(root.extent)
     # root expansion plus the two numeric cuts, never the sub-expansions
     assert [m.id for m in moves] == [1, 4, 5]
     left, right = tax_space.apply_split(root, tax_space.splits.by_id[1])
-    assert [m.id for m in tax_space.available_moves(right)][0] == 2
-    assert [m.id for m in tax_space.available_moves(left)][0] == 3
+    assert [m.id for m in tax_space.available_moves(right.extent)][0] == 2
+    assert [m.id for m in tax_space.available_moves(left.extent)][0] == 3
 
 
 def test_available_moves_memoized_per_extent(grid_space, tax_space):
@@ -89,11 +92,11 @@ def test_available_moves_memoized_per_extent(grid_space, tax_space):
         cold = Space(space.dataset, space.splits)
         for tree in enumerate_trees(space):
             for b in tree.leaf_blocks():
-                moves = space.available_moves(b)
+                moves = space.available_moves(b.extent)
                 again = space.available_moves(
-                    Block(b.extent, b.cells, b.count))
+                    tuple(list(b.extent)))
                 assert again is moves
-                assert cold.available_moves(b) == moves
+                assert cold.available_moves(b.extent) == moves
 
 
 def test_apply_move_timestamps_preorder(grid_space):
@@ -181,7 +184,7 @@ def test_cut_masks_match_geometry(seed):
         for path, leaf in tree.pre_order():
             if not isinstance(leaf, Leaf):
                 continue
-            for move in space.available_moves(leaf.block):
+            for move in space.available_moves(leaf.block.extent):
                 child = tree.apply_move(path, move)
                 for depth in range(len(path) + 1):
                     old = tree.node_at(path[:depth])
@@ -204,7 +207,7 @@ def test_legal_moves_matches_head_by_head_reference(seed):
         for path, node in tree.pre_order():
             if not isinstance(node, Leaf):
                 continue
-            for move in space.available_moves(node.block):
+            for move in space.available_moves(node.block.extent):
                 assert ((path, move) in legal) == \
                     reference_legal_move(tree, path, move)
 
@@ -273,6 +276,38 @@ def test_trees_from_legal_moves_are_canonical(seed):
     tree = random_tree(space, rng)
     assert is_legal(tree)
     assert normalize(tree).root == tree.root
+
+
+def test_internal_nodes_hold_only_their_split():
+    assert [f.name for f in dataclasses.fields(Internal)] == \
+        ["split", "left", "right", "cuts"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_canonical_form_splits_no_cells(seed):
+    # canonicalization works on extents alone: it never partitions cells
+    rng = random.Random(seed)
+    space = random_instance(rng)
+    trees = [random_tree(space, rng), random_loose_tree(space, rng)]
+
+    def refused(*args):
+        raise AssertionError("canonicalization split a block's cells")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Space, "apply_split", refused)
+        for tree in trees:
+            norm = normalize(tree)
+            assert canonical_tree(space, tree.leaf_blocks()).root == norm.root
+            assert is_legal(norm)
+            is_legal(tree)
+
+
+def test_blocks_that_are_no_partition_raise_value_error(grid_space):
+    root = grid_space.root_block
+    for blocks in ([root, root], []):
+        with pytest.raises(ValueError, match="no partition"):
+            canonical_tree(grid_space, blocks)
 
 
 # ---- garbage ----

@@ -16,7 +16,8 @@ from anonsearch.constraints import build_constraints
 from anonsearch.dataset import load_config, sample_dataset
 from anonsearch.metrics import Metric, make_metric, theoretical_bound
 from anonsearch.frontiers import HEAD
-from anonsearch.partition import Space, is_legal, legal_ids, legal_moves
+from anonsearch.partition import (Leaf, PartitionTree, Space, is_legal,
+                                  legal_ids, legal_moves)
 from anonsearch.search import (SearchConfig, SearchConfigError, _grow,
                                _Searcher, mondrian_greedy, search)
 from anonsearch.splits import Move, generate_splits
@@ -480,7 +481,7 @@ def walked_frontier(space, ctx, tree):
     leaves = tree.splittable_leaves()
     pre, mins = frontier(tree, ctx)
     return ([(path, leaf.block.extent, anc, legal_ids(anc, sum(
-        m.bits for m in space.available_moves(leaf.block))))
+        m.bits for m in space.available_moves(leaf.block.extent))))
         for path, leaf, anc in leaves], pre[:-1], mins)
 
 
@@ -492,7 +493,7 @@ def derived_frontier(space, front):
         pre.append(total)
         total += x.cost
     return ([(path, x.block.extent, anc, legal_ids(anc, sum(
-        m.bits for m in space.available_moves(x.block))))
+        m.bits for m in space.available_moves(x.block.extent))))
         for path, x, anc in zip(front[HEAD::4], exts, front[HEAD + 2::4])],
         pre, [x.floor for x in exts])
 
@@ -758,6 +759,19 @@ def test_seed_must_be_feasible_and_canonical(grid_space):
     with pytest.raises(ValueError, match="canonical"):
         search(grid_space, make_metric("dm", grid_space), cons2,
                seed_tree=noncanon)
+
+
+def test_seed_must_cover_the_space(grid_space):
+    # one block, the x <= 1 half of the space (2 of 6 rows): no partition,
+    # so canonicalization refuses it and no optimum is certified from it
+    left, _ = grid_space.apply_split(grid_space.root_block,
+                                     grid_space.splits.by_id[1])
+    partial = PartitionTree(grid_space, Leaf(left))
+    with pytest.raises(ValueError, match="no partition"):
+        is_legal(partial)
+    with pytest.raises(ValueError, match="no partition"):
+        search(grid_space, make_metric("dm", grid_space),
+               build_constraints(grid_space, k=1), seed_tree=partial)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
