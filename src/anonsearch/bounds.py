@@ -42,21 +42,26 @@ class ExtentRecord:
     """Everything one solve knows of one block extent: the block, its
     exact `cost`, its `flags` `(fails_any, fails_monotone)`, its `floor`
     (the finest-refinement cost, None until `min_cost` computes it) and,
-    once the search expands a frontier holding it, its moves, their id
-    bits and its move table: `known` has the bits of the moves filled in
-    (`BoundContext.fill`), `bad` those whose child adds a monotone
+    once a solver moves it (`BoundContext.open_moves`), its moves, their
+    id bits and its move table: `known` has the bits of the moves filled
+    in (`BoundContext.fill`), `bad` those whose child adds a monotone
     failure, and `terms` maps each other filled move's id to `(records,
     costs, floors, d_any)` of its new blocks in `move_blocks` order,
-    `d_any` their any-failure count minus the old block's."""
+    `d_any` their any-failure count minus the old block's. Once the DP
+    (`dp.ExtentDP`) solves the extent, `opt` is the least cost of a
+    feasible partition of the block, inf if none, and `choice` the move
+    its optimal partition starts with, None if the block is that
+    partition."""
 
     __slots__ = ("block", "cost", "flags", "floor", "moves", "ids", "terms",
-                 "known", "bad")
+                 "known", "bad", "opt", "choice")
 
     def __init__(self, block, cost, flags):
         self.block = block
         self.cost = cost
         self.flags = flags
         self.floor = self.moves = self.ids = self.terms = None
+        self.opt = self.choice = None
         self.known = self.bad = 0
 
 
@@ -79,6 +84,12 @@ class BoundContext:
     block, is a whole number and every filled move's floors add up to
     its block's: the search's test for sharing one bound between a
     frontier leaf's children.
+
+    `sound` turns False once a block that passes every constraint has a
+    floor above its cost, by more than a relative 1e-9 (float metrics
+    add floors and costs in other orders): the metric breaks the floor
+    contract (`metrics.Metric`), so no bound of this solve certifies
+    anything. The built-in metrics never turn it False.
     """
 
     def __init__(self, space, metric, constraints):
@@ -91,6 +102,7 @@ class BoundContext:
         self.metric = metric
         self.cons = constraints
         self.exact = True
+        self.sound = True
         self._records: dict = {}   # extent -> ExtentRecord
         self._floors = None
 
@@ -128,7 +140,15 @@ class BoundContext:
         rec.floor = total
         if not (is_whole(rec.cost) and is_whole(total)):
             self.exact = False
+        if total - rec.cost > 1e-9 * abs(rec.cost) and not rec.flags[0]:
+            self.sound = False
         return total
+
+    def open_moves(self, rec: ExtentRecord):
+        """Give `rec` its moves, their id bits and an empty move table."""
+        moves = rec.moves = self.space.available_moves(rec.block.extent)
+        rec.ids = sum(m.bits for m in moves)
+        rec.terms = {}
 
     def fill(self, rec: ExtentRecord, ids):
         """Fill `rec`'s move table for its moves with bits in `ids`."""

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: `search` (certified best-first search), `greedy` (steepest
+Subcommands: `search` (certified search: the exact DP over block
+extents, or best-first under a budget or in approx mode), `greedy` (steepest
 descent baseline, optionally a seed for search via --improve on search),
 `enumerate-count` (duplicate-free partition count, with a brute-force
 cross-check), and `query` (count-query error report for a stored
@@ -84,19 +85,23 @@ def build_parser():
                     "generalization for data anonymization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("search", help="best-first search with certificates")
+    ps = sub.add_parser("search", help="certified search: the exact DP, or "
+                        "best-first under a budget or in approx mode")
     _add_input_args(ps)
     _add_metric_args(ps)
     _add_constraint_args(ps)
     ps.add_argument("--mode", default="optimal", choices=["optimal", "approx"])
     ps.add_argument("--alpha", type=float, default=1.0,
                     help="approximation factor for --mode approx")
-    ps.add_argument("--priority", default="lb", choices=["lb", "cost"])
-    ps.add_argument("--max-queue", type=int, default=100_000)
+    ps.add_argument("--priority", default="lb", choices=["lb", "cost"],
+                    help="best-first expansion order")
+    ps.add_argument("--max-queue", type=int, default=100_000,
+                    help="best-first queue cap")
     ps.add_argument("--time-limit", type=float, default=None,
-                    help="seconds; exceeding it returns best effort")
+                    help="seconds; exceeding it returns best effort "
+                         "(selects best-first)")
     ps.add_argument("--node-limit", type=int, default=None,
-                    help="generated-node budget")
+                    help="generated-node budget (selects best-first)")
     ps.add_argument("--improve", action="store_true",
                     help="seed the incumbent with the greedy solution")
     ps.add_argument("--out", required=True, help="output directory")

@@ -20,9 +20,25 @@ from .partition import PartitionTree, Space, legal_moves
 MULTI_LIMIT = 8
 
 
+def _split_memo(space: Space):
+    """`move_blocks` memoized by (extent, move id), for one enumeration:
+    the same block is split the same way in many trees."""
+    memo: dict = {}
+
+    def split(block, move):
+        key = (block.extent, move.id)
+        blocks = memo.get(key)
+        if blocks is None:
+            blocks = memo[key] = space.move_blocks(block, move)
+        return blocks
+
+    return split
+
+
 def enumerate_trees(space: Space, limit=None):
     """Yield every reachable partition tree exactly once (DFS)."""
     count = 0
+    split = _split_memo(space)
 
     def rec(tree: PartitionTree):
         nonlocal count
@@ -31,7 +47,8 @@ def enumerate_trees(space: Space, limit=None):
         yield tree
         count += 1
         for path, move in legal_moves(tree):
-            yield from rec(tree.apply_move(path, move))
+            blocks = split(tree.node_at(path).block, move)
+            yield from rec(tree.apply_move(path, move, blocks))
 
     yield from rec(space.root_tree())
 
@@ -49,6 +66,8 @@ def multi_enumerate(space: Space):
         raise ValueError(f"multi-enumeration is limited to "
                          f"{MULTI_LIMIT} splits")
 
+    split = _split_memo(space)
+
     def walk():
         stack = [([space.root_block], 0)]
         while stack:
@@ -57,8 +76,7 @@ def multi_enumerate(space: Space):
             for i in range(start, len(leaves)):
                 head, tail = leaves[:i], leaves[i + 1:]
                 for move in space.available_moves(leaves[i].extent):
-                    stack.append((head + space.move_blocks(leaves[i], move)
-                                  + tail, i))
+                    stack.append((head + split(leaves[i], move) + tail, i))
 
     return walk()
 

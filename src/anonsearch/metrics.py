@@ -19,7 +19,13 @@ class Metric:
     one finest cell, given as a block, when bounding from below on finest
     cells; `size_floor` is the smallest non-empty block size the
     constraints allow (`ConstraintSet.min_block_size`). By default the
-    term is the cell's own cost."""
+    term is the cell's own cost.
+
+    The floor contract, which every bound and certificate relies on: no
+    cost is negative, and a block that passes every constraint costs at
+    least the sum of its finest cells' floors. The built-in metrics meet
+    it; a solve that meets a block breaking it certifies nothing
+    (`BoundContext.sound`)."""
 
     name = "?"
 

@@ -355,19 +355,19 @@ class PartitionTree:
         return Internal(node.split, self._replaced(node.left, path[1:], sub),
                         node.right)
 
-    def apply_move(self, path, move: Move) -> "PartitionTree":
-        """Grow the leaf at `path` by a move. No legality checking here."""
+    def apply_move(self, path, move: Move, blocks=None) -> "PartitionTree":
+        """Grow the leaf at `path` by a move. No legality checking here.
+        `blocks` are the move's new blocks in `move_blocks` order, if the
+        caller has them; otherwise the leaf's block is split."""
         leaf = self.node_at(path)
         if not isinstance(leaf, Leaf):
             raise ValueError("moves apply to leaves")
+        if blocks is None:
+            blocks = self.space.move_blocks(leaf.block, move)
         # a chain down the tree-right side: each split cuts the block
         # the previous one left on its tree-right
-        block, lefts = leaf.block, []
-        for s in move.splits:
-            left, block = self.space.apply_split(block, s)
-            lefts.append(left)
-        sub = Leaf(block)
-        for s, left in zip(reversed(move.splits), reversed(lefts)):
+        sub = Leaf(blocks[-1])
+        for s, left in zip(reversed(move.splits), reversed(blocks[:-1])):
             sub = Internal(s, Leaf(left), sub)
         return PartitionTree(self.space, self._replaced(self.root, path, sub))
 

@@ -1,10 +1,20 @@
-"""Best-first search for a minimum-cost feasible partition.
+"""Search for a minimum-cost feasible partition: the dispatch between the
+exact DP over extents and best-first search, and the best-first search.
 
-Nodes are partition trees from the duplicate-free order, keyed by lower
-bound or cost. Every feasible node generated updates the incumbent
-immediately; children are enqueued only while alpha * bound stays below
-the incumbent, so alpha = 1 proves optimality and alpha > 1 proves an
-alpha-approximation once the queue drains.
+`search` runs the DP over block extents (`dp.ExtentDP`) when `mode` is
+"optimal" and neither a node nor a time limit is set: such a run can
+only end with a certificate, so best-first's anytime incumbents buy
+nothing there. Every other run, and every call of `best_first`, runs
+the best-first search below. Both refuse a seed tree that is not
+feasible, not canonical or no partition of the space, and both void
+their certificate when the metric breaks the floor contract
+(`BoundContext.sound`).
+
+Best-first: nodes are partition trees from the duplicate-free order,
+keyed by lower bound or cost. Every feasible node generated updates the
+incumbent immediately; children are enqueued only while alpha * bound
+stays below the incumbent, so alpha = 1 proves optimality and alpha > 1
+proves an alpha-approximation once the queue drains.
 
 Blocks violating a monotone constraint can never be repaired by further
 splitting, so such nodes are discarded entirely; nodes violating only
@@ -79,6 +89,7 @@ from dataclasses import dataclass, field
 
 from .bounds import BoundContext, frontier, is_whole, lower_bound
 from .constraints import ConstraintSet
+from .dp import ExtentDP
 from .frontiers import HEAD, Frontiers
 from .metrics import Metric
 # `legal_moves` is not called here; perfbench/spans.py wraps it by name
@@ -153,6 +164,39 @@ class SearchResult:
     @property
     def blocks(self):
         return None if self.best_tree is None else self.best_tree.leaf_blocks()
+
+
+def _ratio(best, glb):
+    """The ratio of an incumbent's cost to a lower bound, None with no
+    incumbent."""
+    if not math.isfinite(best):
+        return None
+    if glb <= 0:
+        return 1.0 if best <= 0 else INF
+    return best / glb
+
+
+def _void(progress, glb) -> float:
+    """The lower bound of a solve whose `BoundContext` is not `sound`:
+    no more than 0, the least cost a metric meeting the contract's
+    non-negativity can reach; the progress rows are lowered to it too."""
+    glb = min(glb, 0.0)
+    for row in progress:
+        row["lower_bound"] = min(row["lower_bound"], glb)
+        row["ratio"] = _ratio(row["best_cost"], row["lower_bound"])
+    return glb
+
+
+def _seed_cost(ctx: BoundContext, seed: PartitionTree) -> float:
+    """The cost of a seed tree, added in pre-order. Raises ValueError if
+    the seed is not feasible, not canonical or no partition of the
+    space."""
+    blocks = seed.leaf_blocks()
+    if any(ctx.flags(b)[0] for b in blocks):
+        raise ValueError("seed tree is not feasible")
+    if not is_legal(seed):
+        raise ValueError("seed tree is not in canonical form")
+    return sum(map(ctx.cost, blocks))
 
 
 def _grow(line) -> PartitionTree:
@@ -272,10 +316,7 @@ class _Searcher:
             if shared is not None:
                 shared += rec.cost - rec.floor
             if rec.moves is None:
-                moves = rec.moves = self.space.available_moves(
-                    rec.block.extent)
-                rec.ids = sum(m.bits for m in moves)
-                rec.terms = {}
+                ctx.open_moves(rec)
             legal = legal_ids(ancestry, rec.ids)
             if not legal:
                 continue
@@ -362,7 +403,7 @@ class _Searcher:
             "elapsed_ms": (time.monotonic() - self._t0) * 1000.0,
             "best_cost": self.best,
             "lower_bound": glb,
-            "ratio": self._ratio(self.best, glb),
+            "ratio": _ratio(self.best, glb),
             "queue": len(self.heap),
         })
 
@@ -372,14 +413,6 @@ class _Searcher:
         at = self._lb_at
         queued = min((e[at] for e in self.heap), default=INF)
         return min(self.discard_min, self.open_lb, queued, self.best)
-
-    @staticmethod
-    def _ratio(best, glb):
-        if not math.isfinite(best):
-            return None
-        if glb <= 0:
-            return 1.0 if best <= 0 else INF
-        return best / glb
 
     def _out_of_budget(self) -> bool:
         cfg = self.cfg
@@ -446,13 +479,7 @@ class _Searcher:
 
         seed = self.seed_tree
         if seed is not None:
-            ctx = self.bctx
-            blocks = seed.leaf_blocks()
-            if any(ctx.flags(b)[0] for b in blocks):
-                raise ValueError("seed tree is not feasible")
-            if not is_legal(seed):
-                raise ValueError("seed tree is not in canonical form")
-            self._set_best(sum(map(ctx.cost, blocks)), seed)
+            self._set_best(_seed_cost(self.bctx, seed), seed)
         if root_any == 0 and root_cost < self.best:
             self._set_best(root_cost, root_front[0])
 
@@ -497,11 +524,15 @@ class _Searcher:
         """The result: a search that drained with no forced drop proves
         its status, `infeasible` with no incumbent; any other search is
         `exhausted`, uncertified, its guarantee the ratio reached (None
-        with no incumbent)."""
+        with no incumbent). So is a search whose `BoundContext` is not
+        `sound`, with its bound lowered by `_void`."""
         self.stats.elapsed_sec = time.monotonic() - self._t0
         glb = self._glb()
-        ratio = self._ratio(self.best, glb)
-        proved = drained and self.stats.forced_drops == 0
+        sound = self.bctx.sound
+        if not sound:
+            glb = _void(self.progress, glb)
+        ratio = _ratio(self.best, glb)
+        proved = drained and self.stats.forced_drops == 0 and sound
         certified = proved and math.isfinite(self.best)
         if not proved:
             status = "exhausted"
@@ -522,22 +553,85 @@ class _Searcher:
                             certified, guarantee, self.stats, self.progress)
 
 
-def search(space: Space, metric: Metric, constraints: ConstraintSet,
-           config: SearchConfig | None = None,
-           seed_tree: PartitionTree | None = None) -> SearchResult:
-    """Best-first search under `config`. A feasible `seed_tree` (e.g. a
-    greedy solution) preloads the incumbent, so the result is never worse
-    than the seed."""
-    cfg = config or SearchConfig()
-    # nodes and frontiers form no reference cycles, so the cyclic
-    # collector would only rescan the queue
+def _solve_dp(space, metric, constraints, seed_tree) -> SearchResult:
+    """The optimum by the DP over extents (`dp.ExtentDP`), or the seed
+    if the DP finds nothing cheaper. The result's tree is the canonical
+    tree of the optimal blocks and its cost their pre-order sum, as
+    greedy adds it. Progress: the seed's row, bounded by the root's
+    floor, then the optimum's row if it is cheaper."""
+    t0 = time.monotonic()
+    ctx = BoundContext(space, metric, constraints)
+    stats = SearchStats()
+    progress = []
+
+    def row(cost, lb):
+        progress.append({"elapsed_ms": (time.monotonic() - t0) * 1000.0,
+                         "best_cost": cost, "lower_bound": lb,
+                         "ratio": _ratio(cost, lb), "queue": 0})
+
+    best, tree = INF, seed_tree
+    root = ctx.record(space.root_block)
+    if seed_tree is not None:
+        best = _seed_cost(ctx, seed_tree)
+        row(best, min(ctx.min_cost(root.block), best))
+    if ExtentDP(ctx, stats).solve(root) < INF:
+        found = canonical_tree(space, ExtentDP.blocks(root))
+        cost = sum(map(ctx.cost, found.leaf_blocks()))
+        if cost < best:
+            best, tree = cost, found
+            row(best, best)
+    stats.elapsed_sec = time.monotonic() - t0
+    if not ctx.sound:
+        glb = _void(progress, best)
+        ratio = _ratio(best, glb)
+        return SearchResult("exhausted", tree, best, glb, ratio, False,
+                            ratio, stats, progress)
+    if tree is None:
+        return SearchResult("infeasible", None, INF, INF, None, False, None,
+                            stats, progress)
+    return SearchResult("optimal", tree, best, best, 1.0, True, 1.0, stats,
+                        progress)
+
+
+def _collector_off(solve):
+    """`solve()` with the cyclic collector off, its state restored on
+    return and on a raise. Nodes, frontiers, records and the DP's frames
+    form no reference cycles, so the collector would only rescan them."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _Searcher(space, metric, constraints, cfg, seed_tree).run()
+        return solve()
     finally:
         if enabled:
             gc.enable()
+
+
+def best_first(space: Space, metric: Metric, constraints: ConstraintSet,
+               config: SearchConfig | None = None,
+               seed_tree: PartitionTree | None = None) -> SearchResult:
+    """Best-first search under `config`, anytime: it stops at the node or
+    time budget with the best partition offered so far. A feasible
+    `seed_tree` (e.g. a greedy solution) preloads the incumbent, so the
+    result is never worse than the seed."""
+    cfg = config or SearchConfig()
+    return _collector_off(lambda: _Searcher(space, metric, constraints, cfg,
+                                            seed_tree).run())
+
+
+def search(space: Space, metric: Metric, constraints: ConstraintSet,
+           config: SearchConfig | None = None,
+           seed_tree: PartitionTree | None = None) -> SearchResult:
+    """The minimum-cost feasible partition under `config`, never worse
+    than a feasible `seed_tree`. With `mode="optimal"` and neither a node
+    nor a time limit the run can only end with a certificate, so the
+    exact DP over extents solves it (`dp.ExtentDP`); every other run is
+    `best_first`. The seed is checked the same way by both."""
+    cfg = config or SearchConfig()
+    if (cfg.mode == "optimal" and cfg.node_limit is None
+            and cfg.time_limit is None):
+        return _collector_off(lambda: _solve_dp(space, metric, constraints,
+                                                seed_tree))
+    return best_first(space, metric, constraints, cfg, seed_tree)
 
 
 # ---- greedy baseline ----

@@ -24,7 +24,8 @@ from anonsearch.enumeration import (count_partitions, distinct_signatures,
 from anonsearch.metrics import (CountedBlock, count_estimate, make_metric,
                                 true_count)
 from anonsearch.partition import Space, legal_moves
-from anonsearch.search import SearchConfig, mondrian_greedy, search
+from anonsearch.search import (SearchConfig, best_first, mondrian_greedy,
+                               search)
 from anonsearch.splits import Move, generate_splits
 
 from conftest import (build_space, random_instance, random_tree,
@@ -143,18 +144,21 @@ def test_optimal_search_matches_exhaustive_oracle():
             for name in ("dm", "cm", "vm"):
                 metric = make_metric(name, space)
                 opt = oracle_optimum(partitions, metric, cons)
-                res = search(space, metric, cons)
-                if math.isinf(opt):
-                    assert res.status == "infeasible"
-                    assert math.isinf(res.best_cost)
-                    continue
-                feasible_runs += 1
-                assert res.certified and res.status == "optimal"
-                if name == "vm":
-                    assert abs(res.best_cost - opt) <= RELTOL * max(1.0, opt)
-                else:
-                    assert res.best_cost == opt
-    assert feasible_runs >= 100
+                # `search` runs the DP over extents here, with no budget
+                for solve in (search, best_first):
+                    res = solve(space, metric, cons)
+                    if math.isinf(opt):
+                        assert res.status == "infeasible"
+                        assert math.isinf(res.best_cost)
+                        continue
+                    feasible_runs += 1
+                    assert res.certified and res.status == "optimal"
+                    if name == "vm":
+                        assert abs(res.best_cost - opt) <= \
+                            RELTOL * max(1.0, opt)
+                    else:
+                        assert res.best_cost == opt
+    assert feasible_runs >= 200
 
 
 # ---- 5: approximation mode keeps its promise ----
@@ -231,8 +235,9 @@ def test_greedy_bounds_optimal_and_seeding_never_hurts():
                 if not g.feasible:
                     continue
                 assert g.cost >= opt * (1 - RELTOL)
-                imp = search(space, metric, cons, seed_tree=g.tree)
-                assert imp.best_cost <= g.cost * (1 + RELTOL)
+                for solve in (search, best_first):
+                    imp = solve(space, metric, cons, seed_tree=g.tree)
+                    assert imp.best_cost <= g.cost * (1 + RELTOL)
 
 
 # ---- 8: lower bound admissible for every feasible descendant ----

@@ -274,3 +274,20 @@ def test_bound_below_every_feasible_descendant_cost(seed):
             rec(tree.apply_move(path, move), stack + [lb])
 
     rec(space.root_tree(), [])
+
+
+def test_built_in_metrics_never_trip_the_floor_guard():
+    # every block of every reachable partition, for each built-in metric
+    # under constraint stacks that raise the size floor
+    rng = random.Random(11)
+    for _ in range(30):
+        space = random_instance(rng, total_splits=rng.randint(2, 4))
+        blocks = {b.extent: b for t in enumerate_trees(space)
+                  for b in t.leaf_blocks()}
+        for kw in ({}, dict(k=2), dict(k=3, l_div=1.5), dict(t_close=0.3)):
+            cons = build_constraints(space, **kw)
+            for name in ("dm", "cm", "vm"):
+                ctx = BoundContext(space, make_metric(name, space), cons)
+                for b in blocks.values():
+                    ctx.min_cost(b)
+                assert ctx.sound, (name, kw)

@@ -614,17 +614,14 @@ def test_same_outputs_runs_six_flag_sets_by_default(monkeypatch, capsys):
                                                "--node-limit", "3000"]
 
 
-def test_traced_solve_reaches_every_patched_layer(tmp_path):
-    # perfbench/spans.py wraps library names from outside; a renamed one
-    # would leave its layer at zero calls. Trees are grown only for a new
-    # incumbent, and greedy finds this instance's optimum, so the search
-    # starts from the root, whose tree it then improves on
-    data, config = write_instance(tmp_path, x_cuts=(0.5, 1, 1.5))
-    report = tmp_path / "report.json"
+def traced_solve(tmp_path, data, config, *flags):
+    """The span calls by name and the result of a traced perfbench solve
+    of the instance with `flags`."""
+    report, out = tmp_path / "report.json", tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "solve.py"), str(report),
          "--trace", "--", "search", *base_args(data, config), "--k", "2",
-         "--metric", "dm", "--out", str(tmp_path / "out")],
+         "--metric", "dm", "--out", str(out), *flags],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = read_json(report)
@@ -632,10 +629,30 @@ def test_traced_solve_reaches_every_patched_layer(tmp_path):
     calls = {}
     for span in doc["spans"]:
         calls[span["name"]] = calls.get(span["name"], 0) + span["calls"]
+    return calls, read_json(out / "result.json")
+
+
+def test_traced_solve_reaches_every_patched_layer(tmp_path):
+    # perfbench/spans.py wraps library names from outside; a renamed one
+    # would leave its layer at zero calls. Trees are grown only for a new
+    # incumbent, and greedy finds this instance's optimum, so the search
+    # starts from the root, whose tree it then improves on. A node limit
+    # the search never reaches keeps it best-first
+    data, config = write_instance(tmp_path, x_cuts=(0.5, 1, 1.5))
+    calls, result = traced_solve(tmp_path, data, config,
+                                 "--node-limit", "1000000")
+    assert result["status"] == "optimal"
+    assert result["stats"]["generated"] < 1000000
     for name in ("bounds.min_cost", "constraints.block_flags",
                  "bounds.lower_bound", "partition.apply_move"):
         assert calls.get(name, 0) > 0, name
     # the queue is counted through search.py's `heapq` name: a push bound
     # to another name would read as no push at all
-    stats = read_json(tmp_path / "out" / "result.json")["stats"]
+    stats = result["stats"]
     assert calls.get("search.heap.push", 0) >= stats["max_queue_seen"] > 1
+    # with no budget the DP over extents solves it, with no queue
+    calls, result = traced_solve(tmp_path, data, config)
+    assert result["status"] == "optimal"
+    assert result["stats"]["max_queue_seen"] == 0
+    assert calls.get("search.heap.push", 0) == 0
+    assert calls.get("bounds.min_cost", 0) > 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anonsearch.constraints import build_constraints
 from anonsearch.metrics import make_metric
 from anonsearch.partition import is_legal
-from anonsearch.search import mondrian_greedy, search
+from anonsearch.search import best_first, mondrian_greedy, search
 
 from conftest import (brute_best, build_space, random_instance,
                       reference_greedy)
@@ -68,9 +68,10 @@ def test_greedy_bounded_by_optimum(seed, name):
     assert g.cost >= want - 1e-9
     assert is_legal(g.tree)
     assert cons.feasible(g.tree.leaf_blocks())
-    res = search(space, metric, cons, seed_tree=g.tree)
-    assert res.best_cost <= g.cost + 1e-9
-    assert res.best_cost == pytest.approx(want, rel=1e-9)
+    for solve in (search, best_first):
+        res = solve(space, metric, cons, seed_tree=g.tree)
+        assert res.best_cost <= g.cost + 1e-9
+        assert res.best_cost == pytest.approx(want, rel=1e-9)
 
 
 STACKS = {

@@ -12,7 +12,7 @@ from anonsearch.metrics import make_metric
 from anonsearch.partition import (Internal, Leaf, PartitionTree, Space,
                                   canonical_tree, is_legal, legal_moves,
                                   normalize)
-from anonsearch.search import SearchConfig, search
+from anonsearch.search import SearchConfig, best_first, search
 from anonsearch.splits import Move
 
 from conftest import (block_rows, build_space, geometric_is_cut, is_cut,
@@ -315,8 +315,8 @@ def test_blocks_that_are_no_partition_raise_value_error(grid_space):
 def test_growing_and_normalizing_leave_no_reference_cycles():
     """Trees are freed by reference counting alone: with the cyclic
     collector off, nothing is left for it after `apply_move` and
-    `normalize`, nor after a search, whose nodes, frontiers and lineages
-    are freed the same way."""
+    `normalize`, nor after a best-first search, whose nodes, frontiers
+    and lineages are freed the same way, nor after the DP's frames."""
     cfg = {"attributes": [
         {"name": "c", "kind": "categorical", "role": "qi",
          "values": ["p", "q", "r"], "splits": {"type": "taxonomy"}},
@@ -336,9 +336,11 @@ def test_growing_and_normalizing_leave_no_reference_cycles():
             assert gc.collect() == 0
             assert is_legal(tree)
             assert gc.collect() == 0
-        for config in (SearchConfig(), SearchConfig(max_queue=2)):
-            res = search(space, make_metric("dm", space),
-                         build_constraints(space, k=2), config)
+        for solve, config in ((search, SearchConfig()),
+                              (best_first, SearchConfig()),
+                              (best_first, SearchConfig(max_queue=2))):
+            res = solve(space, make_metric("dm", space),
+                        build_constraints(space, k=2), config)
             assert res.best_tree is not None
             del res
             assert gc.collect() == 0

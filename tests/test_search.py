@@ -19,7 +19,8 @@ from anonsearch.frontiers import HEAD
 from anonsearch.partition import (Leaf, PartitionTree, Space, is_legal,
                                   legal_ids, legal_moves)
 from anonsearch.search import (SearchConfig, SearchConfigError, _grow,
-                               _Searcher, mondrian_greedy, search)
+                               _Searcher, best_first, mondrian_greedy,
+                               search)
 from anonsearch.splits import Move, generate_splits
 
 from conftest import (brute_best, build_space, random_instance, random_tree,
@@ -27,6 +28,10 @@ from conftest import (brute_best, build_space, random_instance, random_tree,
 
 # the package re-exports a function named `search`; this is the module
 search_module = importlib.import_module("anonsearch.search")
+
+# `search` with no budget runs the DP over extents; `best_first` always
+# runs the best-first search
+ENGINES = (search, best_first)
 
 
 def adult_space(n_rows, sample=None, splits=None):
@@ -85,15 +90,16 @@ def test_search_matches_brute_force(seed, name, k):
               else make_metric(name, space))
     cons = build_constraints(space, k=k)
     want = brute_best(space, metric, cons)
-    res = search(space, metric, cons)
-    if math.isinf(want):
-        assert res.status == "infeasible" and res.best_tree is None
-        return
-    assert res.status == "optimal" and res.certified
-    assert res.best_cost == pytest.approx(want, rel=1e-9)
-    assert res.ratio == 1.0
-    assert cons.feasible(res.blocks)
-    assert is_legal(res.best_tree)
+    for solve in ENGINES:
+        res = solve(space, metric, cons)
+        if math.isinf(want):
+            assert res.status == "infeasible" and res.best_tree is None
+            continue
+        assert res.status == "optimal" and res.certified
+        assert res.best_cost == pytest.approx(want, rel=1e-9)
+        assert res.ratio == 1.0
+        assert cons.feasible(res.blocks)
+        assert is_legal(res.best_tree)
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,12 +118,13 @@ def test_search_matches_brute_force_other_constraints(seed, which):
     cons = build_constraints(space, **kw)
     metric = make_metric("dm", space)
     want = brute_best(space, metric, cons)
-    res = search(space, metric, cons)
-    if math.isinf(want):
-        assert res.status == "infeasible"
-    else:
-        assert res.status == "optimal"
-        assert res.best_cost == pytest.approx(want, rel=1e-9)
+    for solve in ENGINES:
+        res = solve(space, metric, cons)
+        if math.isinf(want):
+            assert res.status == "infeasible"
+        else:
+            assert res.status == "optimal"
+            assert res.best_cost == pytest.approx(want, rel=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
@@ -145,10 +152,12 @@ def test_priorities_agree(grid_space):
     costs = set()
     for priority in ("lb", "cost"):
         cons = build_constraints(grid_space, k=2)
-        res = search(grid_space, metric, cons, SearchConfig(priority=priority))
+        res = best_first(grid_space, metric, cons,
+                         SearchConfig(priority=priority))
         assert res.status == "optimal"
         costs.add(res.best_cost)
     assert len(costs) == 1
+    assert search(grid_space, metric, cons).best_cost in costs
 
 
 def test_early_exit_when_root_is_provably_best():
@@ -157,20 +166,22 @@ def test_early_exit_when_root_is_provably_best():
          "splits": {"type": "none"}},
     ]}
     space = build_space(cfg, [(1.0,), (2.0,)])
-    res = search(space, make_metric("dm", space), build_constraints(space))
-    assert res.status == "optimal"
-    assert res.stats.expanded == 0
-    assert res.best_cost == 4
+    for solve in ENGINES:
+        res = solve(space, make_metric("dm", space), build_constraints(space))
+        assert res.status == "optimal"
+        assert res.stats.expanded == 0
+        assert res.best_cost == 4
 
 
 def test_infeasible_when_k_exceeds_rows(grid_space):
     cons = build_constraints(grid_space, k=7)  # only 6 rows
-    res = search(grid_space, make_metric("dm", grid_space), cons)
-    assert res.status == "infeasible"
-    assert res.best_tree is None and res.ratio is None
-    assert not res.certified
-    # no feasible partition: the least cost over none is inf
-    assert res.lower_bound == math.inf and res.progress == []
+    for solve in ENGINES:
+        res = solve(grid_space, make_metric("dm", grid_space), cons)
+        assert res.status == "infeasible"
+        assert res.best_tree is None and res.ratio is None
+        assert not res.certified
+        # no feasible partition: the least cost over none is inf
+        assert res.lower_bound == math.inf and res.progress == []
 
 
 def test_search_crosses_an_infeasible_root():
@@ -181,9 +192,10 @@ def test_search_crosses_an_infeasible_root():
     cons = build_constraints(space, eps=eps)
     assert not cons.block_ok(space.root_block)
     metric = make_metric("dm", space)
-    res = search(space, metric, cons)
-    assert res.status == "optimal"
-    assert res.best_cost == 32  # two blocks of four
+    for solve in ENGINES:
+        res = solve(space, metric, cons)
+        assert res.status == "optimal"
+        assert res.best_cost == 32  # two blocks of four
     assert brute_best(space, metric, cons) == 32
 
 
@@ -211,28 +223,68 @@ def test_budget_before_any_incumbent_is_exhausted_not_infeasible():
 def test_monotone_assumption_changes_pruning_not_result():
     space = eps_space()
     kw = dict(eps={"eps": 2.45, "sigma": 0, "b": 2})
-    plain = search(space, make_metric("dm", space),
-                   build_constraints(space, **kw))
-    assumed = search(space, make_metric("dm", space),
-                     build_constraints(space, assume_monotone=("eps_privacy",),
-                                       **kw))
-    # here the assumption is wrong at the root, so the search never starts
-    assert plain.status == "optimal"
-    assert assumed.status == "infeasible"
+    for solve in ENGINES:
+        plain = solve(space, make_metric("dm", space),
+                      build_constraints(space, **kw))
+        assumed = solve(space, make_metric("dm", space),
+                        build_constraints(
+                            space, assume_monotone=("eps_privacy",), **kw))
+        # here the assumption is wrong at the root, so the search never
+        # starts
+        assert plain.status == "optimal"
+        assert assumed.status == "infeasible"
+
+
+class Dist3(Metric):
+    """Breaks the floor contract: a block of 3 rows costs 0, each of its
+    one-row cells 2."""
+
+    name = "dist3"
+
+    def block_cost(self, block):
+        return abs(block.count - 3)
+
+
+@pytest.mark.parametrize("solve", ENGINES)
+@pytest.mark.parametrize("seeded", [False, True])
+def test_a_metric_below_its_floors_voids_the_certificate(solve, seeded):
+    # the root costs 3 and its floor is 12: pruning everything against
+    # the root once certified 3 as optimal, where two blocks of three
+    # cost 0
+    cfg = {"attributes": [
+        {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, 6],
+         "splits": {"type": "explicit", "values": [1, 2, 3, 4, 5]}},
+    ]}
+    space = build_space(cfg, [(i + 0.5,) for i in range(6)])
+    metric, cons = Dist3(), build_constraints(space)
+    assert brute_best(space, metric, cons) == 0
+    seed = mondrian_greedy(space, metric, cons).tree if seeded else None
+    res = solve(space, metric, cons, seed_tree=seed)
+    assert res.status == "exhausted" and not res.certified
+    assert res.lower_bound <= 0 <= res.best_cost
+    assert res.progress
+    for row in res.progress:
+        assert row["lower_bound"] <= 0
+    ctx = BoundContext(space, metric, cons)
+    assert ctx.sound
+    ctx.min_cost(space.root_block)
+    assert not ctx.sound
 
 
 def test_deterministic_reruns(tax_space):
     metric = make_metric("dm", tax_space)
 
-    def go():
+    def go(solve):
         cons = build_constraints(tax_space, k=2)
-        return search(tax_space, metric, cons)
+        return solve(tax_space, metric, cons)
 
-    a, b = go(), go()
-    assert a.best_cost == b.best_cost
-    assert a.best_tree.signature() == b.best_tree.signature()
-    assert (a.stats.generated, a.stats.expanded, a.stats.pruned_bound) == \
-        (b.stats.generated, b.stats.expanded, b.stats.pruned_bound)
+    for solve in ENGINES:
+        a, b = go(solve), go(solve)
+        assert a.best_cost == b.best_cost
+        assert a.best_tree.signature() == b.best_tree.signature()
+        assert (a.stats.generated, a.stats.expanded,
+                a.stats.pruned_bound) == \
+            (b.stats.generated, b.stats.expanded, b.stats.pruned_bound)
 
 
 def pushed_children(searcher, node, dive=False):
@@ -654,8 +706,8 @@ def test_no_reported_bound_exceeds_the_optimum(seed, name, k, seeded):
     g = mondrian_greedy(space, metric, cons)
     cfg = SearchConfig(node_limit=rng.choice([None, 1, 5, 20]),
                        max_queue=rng.choice([2, 100_000]))
-    res = search(space, metric, cons, cfg,
-                 seed_tree=g.tree if seeded and g.feasible else None)
+    res = best_first(space, metric, cons, cfg,
+                     seed_tree=g.tree if seeded and g.feasible else None)
     assert res.progress
     for row in res.progress:
         assert row["lower_bound"] <= want * (1 + 1e-9), row
@@ -730,7 +782,7 @@ def test_tiny_queue_stays_sound(seed):
     metric = make_metric("dm", space)
     cons = build_constraints(space, k=2)
     want = brute_best(space, metric, cons)
-    res = search(space, metric, cons, SearchConfig(max_queue=2))
+    res = best_first(space, metric, cons, SearchConfig(max_queue=2))
     if math.isinf(want):
         assert res.status == "infeasible"
         return
@@ -749,16 +801,17 @@ def test_seed_must_be_feasible_and_canonical(grid_space):
     bad = grid_space.root_tree().apply_move(
         (), Move((grid_space.splits.by_id[3],)))
     bad = bad.apply_move((1,), Move((grid_space.splits.by_id[5],)))
-    with pytest.raises(ValueError, match="not feasible"):
-        search(grid_space, metric, cons, seed_tree=bad)
     # same partition, but grown in the non-canonical order
     cons2 = build_constraints(grid_space, k=1)
     noncanon = grid_space.root_tree().apply_move(
         (), Move((grid_space.splits.by_id[2],)))
     noncanon = noncanon.apply_move((0,), Move((grid_space.splits.by_id[1],)))
-    with pytest.raises(ValueError, match="canonical"):
-        search(grid_space, make_metric("dm", grid_space), cons2,
-               seed_tree=noncanon)
+    for solve in ENGINES:
+        with pytest.raises(ValueError, match="not feasible"):
+            solve(grid_space, metric, cons, seed_tree=bad)
+        with pytest.raises(ValueError, match="canonical"):
+            solve(grid_space, make_metric("dm", grid_space), cons2,
+                  seed_tree=noncanon)
 
 
 def test_seed_must_cover_the_space(grid_space):
@@ -769,15 +822,16 @@ def test_seed_must_cover_the_space(grid_space):
     partial = PartitionTree(grid_space, Leaf(left))
     with pytest.raises(ValueError, match="no partition"):
         is_legal(partial)
-    with pytest.raises(ValueError, match="no partition"):
-        search(grid_space, make_metric("dm", grid_space),
-               build_constraints(grid_space, k=1), seed_tree=partial)
+    for solve in ENGINES:
+        with pytest.raises(ValueError, match="no partition"):
+            solve(grid_space, make_metric("dm", grid_space),
+                  build_constraints(grid_space, k=1), seed_tree=partial)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_search_restores_the_collector_state(grid_space, monkeypatch,
                                              enabled):
-    # the search runs with the cyclic collector off and restores the
+    # both engines run with the cyclic collector off and restore the
     # caller's state on return and on a raise
     metric = make_metric("dm", grid_space)
     cons = build_constraints(grid_space, k=2)
@@ -785,24 +839,30 @@ def test_search_restores_the_collector_state(grid_space, monkeypatch,
         (), Move((grid_space.splits.by_id[3],)))
     bad = bad.apply_move((1,), Move((grid_space.splits.by_id[5],)))
     during = []
-    run = _Searcher.run
+    run, solve_dp = _Searcher.run, search_module._solve_dp
 
     def recorded(self):
-        during.append(gc.isenabled())
+        during.append(("best_first", gc.isenabled()))
         return run(self)
 
+    def recorded_dp(*args):
+        during.append(("dp", gc.isenabled()))
+        return solve_dp(*args)
+
     monkeypatch.setattr(_Searcher, "run", recorded)
+    monkeypatch.setattr(search_module, "_solve_dp", recorded_dp)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert search(grid_space, metric, cons).status == "optimal"
-        assert gc.isenabled() == enabled
-        with pytest.raises(ValueError, match="not feasible"):
-            search(grid_space, metric, cons, seed_tree=bad)
-        assert gc.isenabled() == enabled
+        for solve in ENGINES:
+            assert solve(grid_space, metric, cons).status == "optimal"
+            assert gc.isenabled() == enabled
+            with pytest.raises(ValueError, match="not feasible"):
+                solve(grid_space, metric, cons, seed_tree=bad)
+            assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False, False]
+    assert during == [("dp", False)] * 2 + [("best_first", False)] * 2
 
 
 def test_seeded_search_never_worse(grid_space):
