@@ -2,11 +2,11 @@
 the one owner of a solve's block statistics.
 
 A `BoundContext` serves one solve of one `(space, metric, constraints)`:
-it keeps one record per block extent (`ExtentRecord`), for the search
-and for greedy alike. A record holds the block's exact cost, constraint
-flags and finest-refinement cost and, for the search, the move table of
-the block (`fill`). `ConstraintSet` and the metrics hold no per-block
-state.
+it keeps one record per block extent (`ExtentRecord`), for best-first,
+the DP and greedy alike. A record holds the block's exact cost,
+constraint flags and finest-refinement cost, plus best-first's move
+table of the block (`fill`) or the DP's optimum of it. `ConstraintSet`
+and the metrics hold no per-block state.
 
 Only leaves that are still splittable (those after the most recent move
 head in pre-order) can be refined; every other leaf pays its exact cost. A
@@ -40,17 +40,22 @@ def is_whole(x) -> bool:
 
 class ExtentRecord:
     """Everything one solve knows of one block extent: the block, its
-    exact `cost`, its `flags` `(fails_any, fails_monotone)`, its `floor`
-    (the finest-refinement cost, None until `min_cost` computes it) and,
-    once a solver moves it (`BoundContext.open_moves`), its moves, their
-    id bits and its move table: `known` has the bits of the moves filled
-    in (`BoundContext.fill`), `bad` those whose child adds a monotone
-    failure, and `terms` maps each other filled move's id to `(records,
-    costs, floors, d_any)` of its new blocks in `move_blocks` order,
-    `d_any` their any-failure count minus the old block's. Once the DP
-    (`dp.ExtentDP`) solves the extent, `opt` is the least cost of a
-    feasible partition of the block, inf if none, and `choice` the move
-    its optimal partition starts with, None if the block is that
+    exact `cost`, its `flags` `(fails_any, fails_monotone)` and its
+    `floor` (the finest-refinement cost, None until `min_cost` computes
+    it).
+
+    The move table is best-first's, None until best-first expands a
+    leaf with this block: its `moves`, their id `ids` bits, `known` with
+    the bits of the moves filled in (`BoundContext.fill`), `bad` those
+    whose child adds a monotone failure, and `terms` mapping each other
+    filled move's id to `(records, costs, floors, d_any)` of its new
+    blocks in `move_blocks` order, `d_any` their any-failure count minus
+    the old block's.
+
+    Once the DP (`dp.ExtentDP`) solves the extent, `opt` is the least
+    cost of a feasible partition of the block, inf if none, and `choice`
+    the records of the new blocks of the move its optimal partition
+    starts with, in `move_blocks` order, None if the block is that
     partition."""
 
     __slots__ = ("block", "cost", "flags", "floor", "moves", "ids", "terms",
@@ -143,12 +148,6 @@ class BoundContext:
         if total - rec.cost > 1e-9 * abs(rec.cost) and not rec.flags[0]:
             self.sound = False
         return total
-
-    def open_moves(self, rec: ExtentRecord):
-        """Give `rec` its moves, their id bits and an empty move table."""
-        moves = rec.moves = self.space.available_moves(rec.block.extent)
-        rec.ids = sum(m.bits for m in moves)
-        rec.terms = {}
 
     def fill(self, rec: ExtentRecord, ids):
         """Fill `rec`'s move table for its moves with bits in `ids`."""

@@ -11,9 +11,10 @@ block B decomposes over its moves:
 This is the DP over rectangles for hierarchical partitions
 (Muthukrishnan, Poosala & Suel, ICDT 1999). It searches shared
 sub-blocks instead of whole trees: each extent is solved once, and its
-optimum and chosen move are kept on its `ExtentRecord` (`opt`,
-`choice`). A move's new blocks come from the record's move table
-(`BoundContext.fill`).
+optimum and the records of the new blocks of its chosen move are kept
+on its `ExtentRecord` (`opt`, `choice`). A move's new blocks come from
+`Space.move_blocks`, their records from the `BoundContext`; the record's
+move table is best-first's, and the DP reads none of it.
 
 - A block failing a monotone constraint has no feasible refinement: its
   optimum is inf and it is not split.
@@ -60,7 +61,13 @@ class ExtentDP:
 
     def _frame(self, rec):
         """Solve `rec`, yielding each record whose optimum it needs
-        before that record is solved."""
+        before that record is solved.
+
+        The new blocks of every move get their records, and those of
+        each move with no block failing a monotone constraint their
+        floors, before the first move is tried, so the floor-contract
+        guard (`BoundContext.sound`) checks the same blocks whatever
+        the floors and partial sums cut."""
         ctx, stats = self.ctx, self.stats
         stats.generated += 1
         fails_any, fails_mono = rec.flags
@@ -69,39 +76,39 @@ class ExtentDP:
         floor = ctx.min_cost(rec.block) if rec.floor is None else rec.floor
         if not fails_mono and best > floor:
             stats.expanded += 1
-            if rec.moves is None:
-                ctx.open_moves(rec)
-            if rec.ids & ~rec.known:
-                ctx.fill(rec, rec.ids & ~rec.known)
-            for move in rec.moves:
-                if rec.bad & move.bits:
+            space, record, min_cost = ctx.space, ctx.record, ctx.min_cost
+            options = []
+            for move in space.available_moves(rec.block.extent):
+                kids = tuple(map(record, space.move_blocks(rec.block, move)))
+                if any(kid.flags[1] for kid in kids):
+                    options.append(None)
+                else:
+                    options.append((kids, [min_cost(kid.block)
+                                           if kid.floor is None
+                                           else kid.floor for kid in kids]))
+            for option in options:
+                if option is None:
                     stats.pruned_infeasible += 1
                     continue
-                kids, _, floors, _ = rec.terms[move.id]
-                total = yield from self._sum(kids, floors, best)
-                if total is None:
+                # the sum of the kids' optima, cut once a partial sum
+                # plus the floors of the kids not yet added reaches `best`
+                kids, floors = option
+                rest, total = sum(floors), 0
+                for kid, kid_floor in zip(kids, floors):
+                    if total + rest >= best:
+                        total = math.inf
+                        break
+                    if kid.opt is None:
+                        yield kid
+                    total += kid.opt
+                    rest -= kid_floor
+                if total >= best:
                     stats.pruned_bound += 1
                     continue
-                best, choice = total, move
+                best, choice = total, kids
                 if best <= floor:
                     break
         rec.opt, rec.choice = best, choice
-
-    @staticmethod
-    def _sum(kids, floors, best):
-        """The sum of the optima of a move's new blocks `kids`, or None
-        once a partial sum plus the `floors` of the blocks not yet added
-        reaches `best`; yields each block not yet solved."""
-        rest = sum(floors)
-        total = 0
-        for kid, floor in zip(kids, floors):
-            if total + rest >= best:
-                return None
-            if kid.opt is None:
-                yield kid
-            total += kid.opt
-            rest -= floor
-        return total if total < best else None
 
     @staticmethod
     def blocks(rec) -> list:
@@ -113,5 +120,5 @@ class ExtentDP:
             if rec.choice is None:
                 out.append(rec.block)
             else:
-                stack.extend(rec.terms[rec.choice.id][0])
+                stack.extend(rec.choice)
         return out

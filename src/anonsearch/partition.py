@@ -163,7 +163,12 @@ class Space:
             self.cell_counts[cell] += 1
         self.root_block = Block(tuple(extent), tuple(range(len(index))),
                                 len(self.cell_of))
-        self._moves_cache: dict = {}
+        # per numeric QI attribute its planes and their moves, in id order
+        self._plane_moves = [
+            (cuts, [splits.numeric_moves[s.id]
+                    for s in splits.by_attr.get(a, ())])
+            if attr.is_numeric else None
+            for a, attr, cuts in zip(self.qi, self.qi_schema, planes)]
         self._label_tables: dict = {}
 
     def root_tree(self) -> "PartitionTree":
@@ -231,31 +236,25 @@ class Space:
 
     def available_moves(self, extent):
         """Moves applicable to a block with extent `extent`, in increasing
-        id order.
+        id order: a new list per call.
 
         Numeric splits must fall strictly inside the extent. A sibling set
         applies only to a block whose extent along the attribute is exactly
-        the owning taxonomy node's leaf range. The list depends only on the
-        extent and is memoized per extent: it is shared between callers,
-        who must not mutate it.
+        the owning taxonomy node's leaf range. Split ids ascend with the QI
+        position and, within a numeric attribute, with the plane
+        (`SplitSet`), so the moves come in id order attribute by
+        attribute.
         """
-        moves = self._moves_cache.get(extent)
-        if moves is not None:
-            return moves
         moves = []
-        for qi_pos, attr_idx in enumerate(self.qi):
-            lo, hi = extent[qi_pos]
-            attr = self.dataset.schema[attr_idx]
-            if attr.is_numeric:
-                for s in self.splits.by_attr.get(attr_idx, ()):
-                    if lo < s.plane < hi:
-                        moves.append(self.splits.numeric_moves[s.id])
+        for a, numeric, (lo, hi) in zip(self.qi, self._plane_moves, extent):
+            if numeric is not None:
+                planes, plane_moves = numeric
+                moves += plane_moves[bisect_right(planes, lo):
+                                     bisect_left(planes, hi)]
             else:
-                exp = self.splits.expansions.get((attr_idx, (lo, hi)))
+                exp = self.splits.expansions.get((a, (lo, hi)))
                 if exp is not None:
                     moves.append(exp)
-        moves.sort(key=lambda m: m.id)
-        self._moves_cache[extent] = moves
         return moves
 
 
@@ -347,13 +346,16 @@ class PartitionTree:
     # ---- growth ----
 
     def _replaced(self, node, path, sub):
-        if not path:
-            return sub
-        if path[0]:
-            return Internal(node.split, node.left,
-                            self._replaced(node.right, path[1:], sub))
-        return Internal(node.split, self._replaced(node.left, path[1:], sub),
-                        node.right)
+        """`node` with the subtree at `path` below it replaced by `sub`,
+        its ancestors rebuilt bottom-up."""
+        spine = []
+        for step in path:
+            spine.append(node)
+            node = node.right if step else node.left
+        for node, step in zip(reversed(spine), reversed(path)):
+            sub = (Internal(node.split, node.left, sub) if step
+                   else Internal(node.split, sub, node.right))
+        return sub
 
     def apply_move(self, path, move: Move, blocks=None) -> "PartitionTree":
         """Grow the leaf at `path` by a move. No legality checking here.
@@ -437,30 +439,45 @@ def _respects_all(blocks, s: Split) -> bool:
 def _canon_node(space: Space, extent, blocks):
     """Rebuild the canonical subtree over `blocks`, a partition of the
     region `extent`: apply the lowest-id move that every block respects,
-    route the blocks into its cells and recurse. Raises ValueError if
-    `blocks` is no partition of the region."""
-    if len(blocks) == 1 and blocks[0].extent == extent:
-        return Leaf(blocks[0])
-    for move in space.available_moves(extent):
-        if all(_respects_all(blocks, s) for s in move.splits):
-            return _canon_chain(space, move.splits, extent, blocks)
-    raise ValueError(f"the blocks are no partition of {extent}")
+    route the blocks into its regions (each split's tree-left child and
+    the last tree-right one) and rebuild each of them the same way.
+    Raises ValueError if `blocks` is no partition of the region.
 
-
-def _canon_chain(space: Space, splits, extent, blocks):
-    """The chain of `splits` over `extent`, each split's tree-left child
-    and the last tree-right one rebuilt over the `blocks` inside them."""
-    if not splits:
-        return _canon_node(space, extent, blocks)
-    s = splits[0]
-    left_extent, right_extent = split_extents(extent, s)
-    left, rest = [], []
-    for blk in blocks:
-        lo, hi = blk.extent[s.qi_pos]
-        side = hi <= s.plane if s.numeric else lo >= s.plane
-        (left if side else rest).append(blk)
-    return Internal(s, _canon_node(space, left_extent, left),
-                    _canon_chain(space, splits[1:], right_extent, rest))
+    The regions are rebuilt depth first on an explicit stack, left to
+    right, so the depth of the tree is not bounded by the interpreter's
+    recursion limit. An entry `(None, splits)` under a move's regions
+    lays out its chain once they are built."""
+    built, stack = [], [(extent, blocks)]
+    while stack:
+        extent, blocks = stack.pop()
+        if extent is None:
+            sub = built.pop()
+            for s in reversed(blocks):
+                sub = Internal(s, built.pop(), sub)
+            built.append(sub)
+            continue
+        if len(blocks) == 1 and blocks[0].extent == extent:
+            built.append(Leaf(blocks[0]))
+            continue
+        for move in space.available_moves(extent):
+            if all(_respects_all(blocks, s) for s in move.splits):
+                break
+        else:
+            raise ValueError(f"the blocks are no partition of {extent}")
+        regions = []
+        for s in move.splits:
+            left_extent, extent = split_extents(extent, s)
+            left, rest = [], []
+            for blk in blocks:
+                lo, hi = blk.extent[s.qi_pos]
+                side = hi <= s.plane if s.numeric else lo >= s.plane
+                (left if side else rest).append(blk)
+            regions.append((left_extent, left))
+            blocks = rest
+        regions.append((extent, blocks))
+        stack.append((None, move.splits))
+        stack.extend(reversed(regions))
+    return built[0]
 
 
 def canonical_tree(space: Space, blocks) -> PartitionTree:
@@ -481,5 +498,16 @@ def normalize(tree: PartitionTree) -> PartitionTree:
 def is_legal(tree: PartitionTree) -> bool:
     """A tree is reachable by the duplicate-free order iff it equals its
     canonical form. Raises ValueError if its leaves are no partition of
-    the space."""
-    return normalize(tree).root == tree.root
+    the space. The trees are compared node by node on an explicit stack,
+    not by the nodes' recursive `__eq__`."""
+    stack = [(normalize(tree).root, tree.root)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Leaf) or isinstance(b, Leaf):
+            if a != b:
+                return False
+        elif a.split != b.split:
+            return False
+        else:
+            stack += ((a.left, b.left), (a.right, b.right))
+    return True

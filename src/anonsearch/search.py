@@ -316,7 +316,9 @@ class _Searcher:
             if shared is not None:
                 shared += rec.cost - rec.floor
             if rec.moves is None:
-                ctx.open_moves(rec)
+                rec.moves = self.space.available_moves(rec.block.extent)
+                rec.ids = sum(m.bits for m in rec.moves)
+                rec.terms = {}
             legal = legal_ids(ancestry, rec.ids)
             if not legal:
                 continue
@@ -450,17 +452,26 @@ class _Searcher:
             self.discard_min = min(self.discard_min, *(
                 e[at] for e in heap if not alpha * e[at] < best))
         # entries are (key, key, seq, ...) with a unique seq, so they sort
-        # by key; the 10% rounds drop one tail of that order
+        # by key; the 10% rounds drop one tail of that order. The n least
+        # entries are those whose first key is below the n-th least, then
+        # the least of those tied at it, so only the first keys and the
+        # ties are sorted
         half = max(1, self.cfg.max_queue // 2)
         n = len(alive)
         while n > half:
             n -= max(1, n // 10)
         if n < len(alive):
-            alive.sort()
-            stats.forced_drops += len(alive) - n
+            cut = sorted([e[0] for e in alive])[n - 1]
+            kept = [e for e in alive if e[0] < cut]
+            tied = sorted([e for e in alive if e[0] == cut])
+            tied_kept = n - len(kept)
+            kept += tied[:tied_kept]
+            dropped = [e for e in alive if e[0] > cut]
+            dropped += tied[tied_kept:]
+            stats.forced_drops += len(dropped)
             self.discard_min = min(self.discard_min,
-                                   *(e[at] for e in alive[n:]))
-            del alive[n:]
+                                   *(e[at] for e in dropped))
+            alive = kept
         heapq.heapify(alive)
         self.heap = alive
 

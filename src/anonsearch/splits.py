@@ -12,7 +12,6 @@ is the geometric right part.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field, replace
 
 from .dataset import ConfigError, is_count, is_finite_number
@@ -70,6 +69,13 @@ class SplitSet:
         for expect, s in enumerate(splits, start=1):
             if s.id != expect:
                 raise ConfigError("split ids must be consecutive from 1")
+        # `partition.Space.available_moves` relies on this order
+        for a, b in zip(splits, splits[1:]):
+            if b.qi_pos < a.qi_pos or (b.qi_pos == a.qi_pos and b.numeric
+                                       and not a.plane < b.plane):
+                raise ConfigError("split ids must ascend with the QI "
+                                  "position, and with the plane within a "
+                                  "numeric attribute")
         self.splits = tuple(_with_masks(splits))
         self.by_id = {s.id: s for s in self.splits}
         self.by_attr: dict[int, tuple] = {}
@@ -146,6 +152,9 @@ def _numeric_cuts(attr, spec, dataset):
     if kind == "equi_width":
         return [lo + i * (hi - lo) / (count + 1) for i in range(1, count + 1)]
     if kind == "quantile":
+        # imported here, its one user: a solve with no quantile spec
+        # never loads the module
+        import statistics
         if dataset is None:
             raise ConfigError(f"attribute {attr.name!r}: quantile splits "
                               "need data")

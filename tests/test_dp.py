@@ -5,6 +5,7 @@ and judging the best-first search in turn.
 The random instances are drawn from seeded `random.Random` instances,
 so each test's data is fixed by its own code."""
 
+import importlib
 import inspect
 import json
 import math
@@ -20,7 +21,7 @@ from anonsearch.constraints import build_constraints
 from anonsearch.dp import ExtentDP
 from anonsearch.enumeration import multi_enumerate
 from anonsearch.metrics import make_metric
-from anonsearch.partition import is_legal
+from anonsearch.partition import Block, canonical_tree, is_legal
 from anonsearch.search import (SearchConfig, SearchStats, best_first,
                                mondrian_greedy, search)
 
@@ -171,6 +172,90 @@ def test_dp_depth_is_not_bounded_by_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert opt == n + 1 and len(ExtentDP.blocks(root)) == n + 1
     assert stats.generated == n + 1 + n   # the suffixes and the cells
+
+
+def test_a_600_level_chain_needs_no_recursion():
+    # one row per unit cell of a 600-cut line, dm with no constraints:
+    # greedy and the DP both split every cut, and laying the 601 blocks
+    # out as their canonical tree, checking it and growing a tree by a
+    # move all go 600 levels deep
+    n = 600
+    cfg = {"attributes": [
+        {"name": "x", "kind": "numeric", "role": "qi", "domain": [0, n + 1],
+         "splits": {"type": "explicit", "values": list(range(1, n + 1))}},
+    ]}
+    space = build_space(cfg, [(i + 0.5,) for i in range(n + 1)])
+    metric, cons = make_metric("dm", space), build_constraints(space)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)   # CPython's default
+    try:
+        greedy = mondrian_greedy(space, metric, cons)
+        assert greedy.cost == n + 1 and is_legal(greedy.tree)
+        res = search(space, metric, cons)
+        assert (res.status, res.best_cost, len(res.blocks)) == \
+            ("optimal", n + 1, n + 1)
+        assert is_legal(res.best_tree)
+        # the optimum with its last two cells merged, then split again
+        # at the deepest leaf
+        *cells, a, b = res.blocks
+        merged = Block(((n - 1, n + 1),), a.cells + b.cells, 2)
+        tree = canonical_tree(space, [*cells, merged])
+        (move,) = space.available_moves(merged.extent)
+        grown = tree.apply_move((1,) * (n - 1), move)
+        assert grown.leaf_blocks() == res.blocks and is_legal(grown)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def solve_capturing(monkeypatch, *problem):
+    """`search(*problem)` with no budget, and the `BoundContext` it made."""
+    made = []
+
+    class Captured(BoundContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    # the package's `search` is the function; patch the module
+    monkeypatch.setattr(importlib.import_module("anonsearch.search"),
+                        "BoundContext", Captured)
+    res = search(*problem)
+    (ctx,) = made
+    return res, ctx
+
+
+def test_dp_keeps_records_not_move_tables(monkeypatch):
+    # the DP makes the record of every new block of every move of each
+    # extent it expands, and floors those of each move with no block
+    # failing a monotone constraint, as the floor-contract guard needs,
+    # but opens no best-first move table
+    rng = random.Random(22)
+    expanded = 0
+    for _ in range(80):
+        space, metric, cons, seed = draw_problem(
+            rng, total_splits=rng.randint(2, 7), rows_range=(6, 30))
+        res, ctx = solve_capturing(monkeypatch, space, metric, cons, None,
+                                   seed)
+        records = ctx._records
+        assert all(r.moves is None and r.terms is None
+                   for r in records.values())
+        seen = 0
+        for rec in records.values():
+            fails_any, fails_mono = rec.flags
+            if (rec.opt is None or fails_mono
+                    or not (math.inf if fails_any else rec.cost)
+                    > rec.floor):
+                continue
+            seen += 1
+            for move in space.available_moves(rec.block.extent):
+                kids = [records.get(b.extent)
+                        for b in space.move_blocks(rec.block, move)]
+                assert None not in kids
+                if not any(k.flags[1] for k in kids):
+                    assert all(k.floor is not None for k in kids)
+        assert seen == res.stats.expanded
+        expanded += seen
+    assert expanded >= 100
 
 
 # the taxo3k instances of perfbench/manifest.json, data seed 17, solved

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsearch.dataset import ConfigError, Dataset, load_config
-from anonsearch.splits import generate_splits
+from anonsearch.splits import SplitSet, generate_splits
 
 from conftest import build_space
 
@@ -29,6 +30,14 @@ def test_ids_consecutive_from_one():
     # within an attribute, ids increase with the cut value
     assert [s.plane for s in ss.by_attr[0]] == [1, 3, 7]
     assert ss.by_attr[1][0].plane == 5
+    # `Space.available_moves` relies on that order, and on ids ascending
+    # with the QI position: a split set out of either order is refused
+    x1, x3, x7, y5 = ss.splits
+    for bad in ([replace(x3, id=1), replace(x1, id=2), x7, y5],
+                [replace(y5, id=1), replace(x1, id=2), replace(x3, id=3),
+                 replace(x7, id=4)]):
+        with pytest.raises(ConfigError, match="must ascend"):
+            SplitSet(ss.schema, bad)
 
 
 def test_categorical_set_numbering_and_orientation():
