@@ -15,7 +15,8 @@ them; `--flags ""` is the workload's flags alone. Write
 `--flags=--improve` when the set is a single word starting with `-`.
 With no `--flags`, the sets are `DEFAULT_FLAGS`: the workload's flags
 alone, then with the vm metric, the cm metric, a small queue cap, approx
-mode and cost priority, each under a node limit. It compares
+mode, and the cm metric under a queue cap that forces probes, each under a
+node limit. It compares
 `result.json` without `stats.elapsed_sec`, `partition.json`, and
 `progress.csv` without its `elapsed_ms` column, prints one line per
 workload and flag set and exits 1 if any output differs or either run
@@ -43,7 +44,7 @@ DEFAULT_FLAGS = ("", "--metric vm --node-limit 3000",
                  "--metric cm --node-limit 3000",
                  "--max-queue 20 --node-limit 5000",
                  "--mode approx --alpha 1.5 --node-limit 5000",
-                 "--priority cost --max-queue 400 --node-limit 5000")
+                 "--metric cm --max-queue 100 --node-limit 20000")
 
 RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
        "from anonsearch.cli import main; sys.exit(main(sys.argv[2:]))")

@@ -90,12 +90,12 @@ def build_parser():
     _add_input_args(ps)
     _add_metric_args(ps)
     _add_constraint_args(ps)
-    ps.add_argument("--mode", default="optimal", choices=["optimal", "approx"])
-    ps.add_argument("--alpha", type=float, default=1.0,
+    # the defaults are SearchConfig's, read off its class attributes
+    ps.add_argument("--mode", default=SearchConfig.mode,
+                    choices=["optimal", "approx"])
+    ps.add_argument("--alpha", type=float, default=SearchConfig.alpha,
                     help="approximation factor for --mode approx")
-    ps.add_argument("--priority", default="lb", choices=["lb", "cost"],
-                    help="best-first expansion order")
-    ps.add_argument("--max-queue", type=int, default=100_000,
+    ps.add_argument("--max-queue", type=int, default=SearchConfig.max_queue,
                     help="best-first queue cap")
     ps.add_argument("--time-limit", type=float, default=None,
                     help="seconds; exceeding it returns best effort "
@@ -235,7 +235,7 @@ def _finite_or_none(x):
 def _search_config(args) -> SearchConfig:
     try:
         return SearchConfig(mode=args.mode, alpha=args.alpha,
-                            priority=args.priority, max_queue=args.max_queue,
+                            max_queue=args.max_queue,
                             time_limit=args.time_limit,
                             node_limit=args.node_limit)
     except SearchConfigError as exc:
@@ -271,7 +271,6 @@ def _cmd_search(args) -> int:
         "metric": args.metric,
         "mode": args.mode,
         "alpha": cfg.alpha,
-        "priority": args.priority,
         "constraints": echo,
         "theoretical_bound": theoretical_bound(metric, space,
                                                cons.min_block_size()),

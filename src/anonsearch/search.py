@@ -11,10 +11,11 @@ their certificate when the metric breaks the floor contract
 (`BoundContext.sound`).
 
 Best-first: nodes are partition trees from the duplicate-free order,
-keyed by lower bound or cost. Every feasible node generated updates the
-incumbent immediately; children are enqueued only while alpha * bound
-stays below the incumbent, so alpha = 1 proves optimality and alpha > 1
-proves an alpha-approximation once the queue drains.
+expanded least lower bound first, then least cost. Every feasible node
+generated updates the incumbent immediately; children are enqueued only
+while alpha * bound stays below the incumbent, so alpha = 1 proves
+optimality and alpha > 1 proves an alpha-approximation once the queue
+drains.
 
 Blocks violating a monotone constraint can never be repaired by further
 splitting, so such nodes are discarded entirely; nodes violating only
@@ -65,10 +66,10 @@ Otherwise each child is scored, offered and pushed in `legal_moves`
 order, the bad moves counted where that order reaches them, so a probe
 run between two pushes reads the same counts.
 
-A queued child is one flat tuple, `(key, key, seq, fail_any, front, at,
-move)`: its two keys (bound and cost, in priority order), a unique
-sequence number, its parent's frontier `front`, the index `at` of the
-grown leaf's path in it and the move. The main loop checks a popped
+A queued child is one flat tuple, `(lb, cost, seq, fail_any, front, at,
+move)`: its bound and cost, which order the heap, a unique sequence
+number, its parent's frontier `front`, the index `at` of the grown
+leaf's path in it and the move. The main loop checks a popped
 entry's bound before it builds anything; only then is the child's
 frontier derived: first the new blocks, then the parent's leaves after
 i. Those keep all but one ancestry entry: at its lowest common ancestor
@@ -112,7 +113,6 @@ class SearchConfigError(ValueError):
 class SearchConfig:
     mode: str = "optimal"        # "optimal" | "approx"
     alpha: float = 1.0           # approximation factor, >= 1
-    priority: str = "lb"         # "lb" | "cost"
     max_queue: int = 100_000
     time_limit: float | None = None   # seconds
     node_limit: int | None = None     # generated nodes
@@ -125,9 +125,6 @@ class SearchConfig:
             self.alpha = 1.0
         elif not self.alpha >= 1:
             raise SearchConfigError("alpha", f"must be >= 1, got {self.alpha:g}")
-        if self.priority not in ("lb", "cost"):
-            raise SearchConfigError(
-                "priority", f"must be 'lb' or 'cost', got {self.priority!r}")
         if self.max_queue < 1:
             raise SearchConfigError(
                 "max_queue", f"must be >= 1, got {self.max_queue}")
@@ -225,8 +222,6 @@ class _Searcher:
         self.open_lb = INF        # lb of the node under expansion
         self.heap: list = []
         self._seq = 0
-        self._by_cost = config.priority == "cost"
-        self._lb_at = 1 if self._by_cost else 0   # a queue entry's bound
         self._t0 = time.monotonic()
 
     # ---- nodes ----
@@ -267,12 +262,10 @@ class _Searcher:
 
     def _node(self, entry) -> tuple:
         """The node of a queue entry, a queued child's frontier derived."""
-        k0, k1, _, fail_any, front, at, move = entry
+        lb, cost, _, fail_any, front, at, move = entry
         if at is not None:
             front = self._derive(front, at, move)
-        if self._by_cost:
-            return k0, k1, fail_any, front
-        return k1, k0, fail_any, front
+        return cost, lb, fail_any, front
 
     # ---- scoring ----
 
@@ -297,7 +290,6 @@ class _Searcher:
         stats = self.stats
         alpha = self.cfg.alpha
         max_queue = self.cfg.max_queue
-        by_cost = self._by_cost
         push = heapq.heappush
         heap = self.heap
         pick = None
@@ -379,9 +371,7 @@ class _Searcher:
                     # seq is unique, so the rest of an entry is never
                     # compared
                     self._seq += 1
-                    push(heap, (cost, lb, self._seq, fa, front, at, move)
-                         if by_cost else
-                         (lb, cost, self._seq, fa, front, at, move))
+                    push(heap, (lb, cost, self._seq, fa, front, at, move))
                 else:
                     stats.pruned_bound += 1
                     self.discard_min = min(self.discard_min, lb)
@@ -411,9 +401,9 @@ class _Searcher:
 
     def _glb(self) -> float:
         """The least of the discard minimum, the open node's bound, the
-        queued bounds and the incumbent's cost; a node bound wins a tie."""
-        at = self._lb_at
-        queued = min((e[at] for e in self.heap), default=INF)
+        least queued bound (the heap's first, as entries lead with their
+        bound) and the incumbent's cost; a node bound wins a tie."""
+        queued = self.heap[0][0] if self.heap else INF
         return min(self.discard_min, self.open_lb, queued, self.best)
 
     def _out_of_budget(self) -> bool:
@@ -445,17 +435,16 @@ class _Searcher:
         if self.heap:
             self._dive(self._node(self.heap[0]))
         alpha, best, heap = self.cfg.alpha, self.best, self.heap
-        at = self._lb_at
-        alive = [e for e in heap if alpha * e[at] < best]
+        alive = [e for e in heap if alpha * e[0] < best]
         if len(alive) < len(heap):
             stats.pruned_bound += len(heap) - len(alive)
             self.discard_min = min(self.discard_min, *(
-                e[at] for e in heap if not alpha * e[at] < best))
-        # entries are (key, key, seq, ...) with a unique seq, so they sort
-        # by key; the 10% rounds drop one tail of that order. The n least
-        # entries are those whose first key is below the n-th least, then
-        # the least of those tied at it, so only the first keys and the
-        # ties are sorted
+                e[0] for e in heap if not alpha * e[0] < best))
+        # entries are (lb, cost, seq, ...) with a unique seq, so they sort
+        # by bound, then cost; the 10% rounds drop one tail of that order.
+        # The n least entries are those whose bound is below the n-th
+        # least, then the least of those tied at it, so only the bounds
+        # and the ties are sorted
         half = max(1, self.cfg.max_queue // 2)
         n = len(alive)
         while n > half:
@@ -470,7 +459,7 @@ class _Searcher:
             dropped += tied[tied_kept:]
             stats.forced_drops += len(dropped)
             self.discard_min = min(self.discard_min,
-                                   *(e[at] for e in dropped))
+                                   *(e[0] for e in dropped))
             alive = kept
         heapq.heapify(alive)
         self.heap = alive
@@ -500,18 +489,15 @@ class _Searcher:
         self.open_lb = INF
         stats = self.stats
         if cfg.alpha * root_lb < self.best:
-            # a queue entry is `(key, key, seq, fail_any, front, at, move)`:
+            # a queue entry is `(lb, cost, seq, fail_any, front, at, move)`:
             # the child grown at `front[at]` by `move`, or with `at` None
             # the node whose frontier `front` is
-            key = ((root_cost, root_lb) if self._by_cost
-                   else (root_lb, root_cost))
-            heapq.heappush(self.heap,
-                           (*key, 0, root_any, root_front, None, None))
+            heapq.heappush(self.heap, (root_lb, root_cost, 0, root_any,
+                                       root_front, None, None))
         else:
             stats.pruned_bound += 1
             self.discard_min = min(self.discard_min, root_lb)
 
-        lb_at = self._lb_at
         budget_hit = False
         while self.heap:
             stats.max_queue_seen = max(stats.max_queue_seen, len(self.heap))
@@ -519,7 +505,7 @@ class _Searcher:
                 budget_hit = True
                 break
             entry = heapq.heappop(self.heap)
-            lb = entry[lb_at]
+            lb = entry[0]
             if cfg.alpha * lb >= self.best:
                 stats.pruned_bound += 1
                 self.discard_min = min(self.discard_min, lb)
@@ -533,35 +519,39 @@ class _Searcher:
 
     def _finish(self, drained) -> SearchResult:
         """The result: a search that drained with no forced drop proves
-        its status, `infeasible` with no incumbent; any other search is
-        `exhausted`, uncertified, its guarantee the ratio reached (None
-        with no incumbent). So is a search whose `BoundContext` is not
-        `sound`, with its bound lowered by `_void`."""
-        self.stats.elapsed_sec = time.monotonic() - self._t0
-        glb = self._glb()
-        sound = self.bctx.sound
-        if not sound:
-            glb = _void(self.progress, glb)
-        ratio = _ratio(self.best, glb)
-        proved = drained and self.stats.forced_drops == 0 and sound
-        certified = proved and math.isfinite(self.best)
-        if not proved:
-            status = "exhausted"
-            guarantee = ratio
-        elif not certified:
-            status = "infeasible"
-            guarantee = None
-        elif self.cfg.alpha == 1.0 or self.stats.pruned_bound == 0:
-            status = "optimal"
-            guarantee = 1.0
-            glb = self.best
-            ratio = 1.0
-        else:
-            status = "approx"
-            guarantee = self.cfg.alpha
-        tree = None if self.best_line is None else _grow(self.best_line)
-        return SearchResult(status, tree, self.best, glb, ratio,
-                            certified, guarantee, self.stats, self.progress)
+        its status."""
+        return _result(self.bctx, self.stats, self.progress, self._t0,
+                       self.best, self.best_line, self._glb(),
+                       drained and self.stats.forced_drops == 0,
+                       self.cfg.alpha)
+
+
+def _result(ctx, stats, progress, t0, best, line, glb, proved,
+            alpha=1.0) -> SearchResult:
+    """The result of a solve started at `t0` whose incumbent costs `best`
+    with lineage `line` (a tree, or None with no incumbent) and whose
+    lower bound is `glb`. A `proved` solve is `optimal`, or `approx` when
+    alpha > 1 pruned a node, or `infeasible` with no incumbent; any other
+    solve is `exhausted`, uncertified, its guarantee the ratio reached
+    (None with no incumbent). So is a solve whose `BoundContext` is not
+    `sound`, with its bound lowered by `_void`."""
+    stats.elapsed_sec = time.monotonic() - t0
+    if not ctx.sound:
+        glb = _void(progress, glb)
+        proved = False
+    ratio = _ratio(best, glb)
+    certified = proved and math.isfinite(best)
+    if not proved:
+        status, guarantee = "exhausted", ratio
+    elif not certified:
+        status, guarantee = "infeasible", None
+    elif alpha == 1.0 or stats.pruned_bound == 0:
+        status, guarantee, glb, ratio = "optimal", 1.0, best, 1.0
+    else:
+        status, guarantee = "approx", alpha
+    tree = None if line is None else _grow(line)
+    return SearchResult(status, tree, best, glb, ratio, certified, guarantee,
+                        stats, progress)
 
 
 def _solve_dp(space, metric, constraints, seed_tree) -> SearchResult:
@@ -591,17 +581,7 @@ def _solve_dp(space, metric, constraints, seed_tree) -> SearchResult:
         if cost < best:
             best, tree = cost, found
             row(best, best)
-    stats.elapsed_sec = time.monotonic() - t0
-    if not ctx.sound:
-        glb = _void(progress, best)
-        ratio = _ratio(best, glb)
-        return SearchResult("exhausted", tree, best, glb, ratio, False,
-                            ratio, stats, progress)
-    if tree is None:
-        return SearchResult("infeasible", None, INF, INF, None, False, None,
-                            stats, progress)
-    return SearchResult("optimal", tree, best, best, 1.0, True, 1.0, stats,
-                        progress)
+    return _result(ctx, stats, progress, t0, best, tree, best, True)
 
 
 def _collector_off(solve):

@@ -608,7 +608,7 @@ def test_same_outputs_runs_six_flag_sets_by_default(monkeypatch, capsys):
         "taxo3k-exact [--metric cm --node-limit 3000]",
         "taxo3k-exact [--max-queue 20 --node-limit 5000]",
         "taxo3k-exact [--mode approx --alpha 1.5 --node-limit 5000]",
-        "taxo3k-exact [--priority cost --max-queue 400 --node-limit 5000]"]
+        "taxo3k-exact [--metric cm --max-queue 100 --node-limit 20000]"]
     # both sides of each set, the set after the workload's own flags
     assert len(ran) == 12 and ran[2][-4:] == ["--metric", "vm",
                                                "--node-limit", "3000"]

@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from anonsearch.dataset import ConfigError
 from anonsearch.enumeration import (count_partitions, distinct_signatures,
@@ -51,15 +49,23 @@ def test_enumerated_trees_unique_and_canonical(grid_space):
     assert len(sigs) == count_partitions(grid_space)
 
 
-# a fixed draw: the oracle's run time swings with the instance drawn
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.integers(0, 10 ** 6))
-def test_enumeration_matches_orderings_oracle(seed):
-    rng = random.Random(seed)
-    space = random_instance(rng, total_splits=rng.randint(2, 5))
-    sigs = [t.signature() for t in enumerate_trees(space)]
-    assert len(sigs) == len(set(sigs))
-    assert set(sigs) == distinct_signatures(multi_enumerate(space))
+def test_enumeration_matches_orderings_oracle():
+    # 50 seeded instances, fixed by this code. The oracle's run time
+    # swings with the instance drawn: about 1 in 100 draws has tens of
+    # thousands of partitions and takes the oracle seconds, so draws of
+    # more than 5,000 are skipped; the acceptance test covers large spaces
+    draws = random.Random(50)
+    checked = 0
+    while checked < 50:
+        seed = draws.randrange(10 ** 6)
+        rng = random.Random(seed)
+        space = random_instance(rng, total_splits=rng.randint(2, 5))
+        if count_partitions(space, limit=5001) > 5000:
+            continue
+        sigs = [t.signature() for t in enumerate_trees(space)]
+        assert len(sigs) == len(set(sigs)), seed
+        assert set(sigs) == distinct_signatures(multi_enumerate(space)), seed
+        checked += 1
 
 
 def test_limit_stops_enumeration(grid_space):

@@ -67,8 +67,7 @@ def eps_space():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(mode="approx", alpha=0.5)
-    for bad in ({"mode": "best"}, {"priority": "dfs"}, {"priority": "lbcost"},
-                {"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
+    for bad in ({"mode": "best"}, {"max_queue": 0}, {"max_queue": -5}, {"node_limit": -1},
                 {"time_limit": -0.5}, {"time_limit": math.nan}):
         with pytest.raises(SearchConfigError) as info:
             SearchConfig(**bad)
@@ -145,19 +144,6 @@ def test_alpha_keeps_its_promise(seed, alpha):
     assert res.alpha_guarantee in (1.0, alpha)
     if res.ratio is not None:
         assert res.ratio <= alpha + 1e-9
-
-
-def test_priorities_agree(grid_space):
-    metric = make_metric("dm", grid_space)
-    costs = set()
-    for priority in ("lb", "cost"):
-        cons = build_constraints(grid_space, k=2)
-        res = best_first(grid_space, metric, cons,
-                         SearchConfig(priority=priority))
-        assert res.status == "optimal"
-        costs.add(res.best_cost)
-    assert len(costs) == 1
-    assert search(grid_space, metric, cons).best_cost in costs
 
 
 def test_early_exit_when_root_is_provably_best():
@@ -299,7 +285,7 @@ def pushed_children(searcher, node, dive=False):
     entries = sorted(searcher.heap, key=lambda e: e[2])
     searcher.heap = []
     pushed = []
-    for entry in entries:   # keyed by lb, the default priority
+    for entry in entries:
         lb, cost, _, fail_any, front, at, move = entry
         kid = searcher._node(entry)
         assert kid[:3] == (cost, lb, fail_any)
@@ -638,10 +624,9 @@ def test_node_limit_holds_inside_probe_dives(monkeypatch):
 # pruned_infeasible, probes, forced_drops), as reported by the search that
 # scored every child; skipping the children that fail a monotone
 # constraint unscored, or a whole leaf whose shared bound reaches the
-# incumbent, must not move any of them. The approx and cost-priority rows
-# were recorded before either skip existed.
+# incumbent, must not move any of them. The approx rows were recorded
+# before either skip existed.
 APPROX = (("mode", "approx"), ("alpha", 1.3))
-BY_COST = (("priority", "cost"),)
 PINNED_COUNTS = {
     ("cm", 50, 400): (455, 425.0, 416, 17, 64, 54, 3, 55),
     ("cm", 50, 1500): (455, 425.0, 1506, 59, 92, 236, 14, 341),
@@ -663,12 +648,6 @@ PINNED_COUNTS = {
         (455, 425.0, 1506, 82, 405, 335, 9, 212),
     ("cm", 20, 900, ("mode", "approx"), ("alpha", 1.05)):
         (455, 425.0, 900, 32, 182, 124, 8, 69),
-    ("dm", 50, 1500, *BY_COST): (41426, 15105.0, 1503, 319, 85, 1074, 0, 0),
-    ("dm", 20, 900, *BY_COST): (41468, 15105.0, 905, 197, 32, 629, 1, 6),
-    ("dm", 10, 1500, *BY_COST): (41426, 15105.0, 1505, 285, 93, 967, 4, 16),
-    ("cm", 50, 1500, *BY_COST): (455, 425.0, 1502, 452, 127, 872, 1, 18),
-    ("cm", 20, 900, *BY_COST): (455, 425.0, 902, 260, 69, 437, 4, 33),
-    ("cm", 8, 2500, *BY_COST): (456, 425.0, 540, 77, 25, 132, 9, 34),
 }
 
 
@@ -688,55 +667,62 @@ def test_search_counts_are_pinned():
                 s.forced_drops) == want, key
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 10 ** 6), st.sampled_from(["dm", "cm", "vm"]),
-       st.integers(1, 3), st.booleans())
-@example(0, "dm", 1, False)
-def test_no_reported_bound_exceeds_the_optimum(seed, name, k, seeded):
+def test_no_reported_bound_exceeds_the_optimum():
     # a progress row is written while the root or an expanded node is
     # open, before its children are queued; its bound must count that
-    # node, and no other bound source may lift it
-    rng = random.Random(seed)
-    space = random_instance(rng)
-    metric = make_metric(name, space)
-    cons = build_constraints(space, k=k)
-    want = brute_best(space, metric, cons)
-    if math.isinf(want):
-        return
-    g = mondrian_greedy(space, metric, cons)
-    cfg = SearchConfig(node_limit=rng.choice([None, 1, 5, 20]),
-                       max_queue=rng.choice([2, 100_000]))
-    res = best_first(space, metric, cons, cfg,
-                     seed_tree=g.tree if seeded and g.feasible else None)
-    assert res.progress
-    for row in res.progress:
-        assert row["lower_bound"] <= want * (1 + 1e-9), row
-    assert res.lower_bound <= want * (1 + 1e-9)
+    # node, and no other bound source may lift it. A fixed case, then 40
+    # seeded draws, fixed by this code
+    draws = random.Random(40)
+    cases = [(0, "dm", 1, False)] + [
+        (draws.randrange(10 ** 6), draws.choice(["dm", "cm", "vm"]),
+         draws.randint(1, 3), draws.random() < 0.5) for _ in range(40)]
+    for case in cases:
+        seed, name, k, seeded = case
+        rng = random.Random(seed)
+        space = random_instance(rng)
+        metric = make_metric(name, space)
+        cons = build_constraints(space, k=k)
+        want = brute_best(space, metric, cons)
+        if math.isinf(want):
+            continue
+        g = mondrian_greedy(space, metric, cons)
+        cfg = SearchConfig(node_limit=rng.choice([None, 1, 5, 20]),
+                           max_queue=rng.choice([2, 100_000]))
+        res = best_first(space, metric, cons, cfg,
+                         seed_tree=g.tree if seeded and g.feasible else None)
+        assert res.progress, case
+        for row in res.progress:
+            assert row["lower_bound"] <= want * (1 + 1e-9), (case, row)
+        assert res.lower_bound <= want * (1 + 1e-9), case
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(0, 10 ** 6), st.sampled_from([2.0, 5.0, 12.0]),
-       st.integers(1, 30))
-@example(0, 12.0, 1)
-def test_vm_certificate_holds_for_a_coarse_unit_volume(seed, scale,
-                                                       node_limit):
+def test_vm_certificate_holds_for_a_coarse_unit_volume():
     # with a unit volume above the smallest cell's, the optimum may lie
     # below N, the bound the default unit gives; an exhausted result must
-    # still bracket it
-    rng = random.Random(seed)
-    space = random_instance(rng, rows_range=(6, 14))
-    unit = make_metric("vm", space).unit_volume * scale
-    metric = make_metric("vm", space, unit_volume=unit)
-    cons = build_constraints(space, k=rng.choice([1, 2]))
-    want = brute_best(space, metric, cons)
-    if math.isinf(want):
-        return
-    res = search(space, metric, cons, SearchConfig(node_limit=node_limit))
-    assert res.lower_bound <= want * (1 + 1e-9)
-    if res.status == "exhausted":
-        assert res.alpha_guarantee >= res.best_cost / want * (1 - 1e-9)
-    else:
-        assert res.best_cost == pytest.approx(want, rel=1e-9)
+    # still bracket it. A fixed case, then 25 seeded draws, fixed by this
+    # code
+    draws = random.Random(25)
+    cases = [(0, 12.0, 1)] + [
+        (draws.randrange(10 ** 6), draws.choice([2.0, 5.0, 12.0]),
+         draws.randint(1, 30)) for _ in range(25)]
+    for case in cases:
+        seed, scale, node_limit = case
+        rng = random.Random(seed)
+        space = random_instance(rng, rows_range=(6, 14))
+        unit = make_metric("vm", space).unit_volume * scale
+        metric = make_metric("vm", space, unit_volume=unit)
+        cons = build_constraints(space, k=rng.choice([1, 2]))
+        want = brute_best(space, metric, cons)
+        if math.isinf(want):
+            continue
+        res = search(space, metric, cons,
+                     SearchConfig(node_limit=node_limit))
+        assert res.lower_bound <= want * (1 + 1e-9), case
+        if res.status == "exhausted":
+            assert res.alpha_guarantee >= \
+                res.best_cost / want * (1 - 1e-9), case
+        else:
+            assert res.best_cost == pytest.approx(want, rel=1e-9), case
 
 
 def test_seeded_root_counts_as_open(tax_space):
