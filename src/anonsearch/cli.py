@@ -78,57 +78,76 @@ def _add_metric_args(p):
                    help="vm metric unit volume (default: smallest cell)")
 
 
-def build_parser():
+def _add_search_args(p):
+    _add_input_args(p)
+    _add_metric_args(p)
+    _add_constraint_args(p)
+    # the defaults are SearchConfig's, read off its class attributes
+    p.add_argument("--mode", default=SearchConfig.mode,
+                   choices=["optimal", "approx"])
+    p.add_argument("--alpha", type=float, default=SearchConfig.alpha,
+                   help="approximation factor for --mode approx")
+    p.add_argument("--max-queue", type=int, default=SearchConfig.max_queue,
+                   help="best-first queue cap")
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="seconds; exceeding it returns best effort "
+                        "(selects best-first)")
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="generated-node budget (selects best-first)")
+    p.add_argument("--improve", action="store_true",
+                   help="seed the incumbent with the greedy solution")
+    p.add_argument("--out", required=True, help="output directory")
+
+
+def _add_greedy_args(p):
+    _add_input_args(p)
+    _add_metric_args(p)
+    _add_constraint_args(p)
+    p.add_argument("--out", required=True)
+
+
+def _add_enumerate_args(p):
+    _add_input_args(p)
+    p.add_argument("--limit", type=int, default=None,
+                   help="stop after this many partitions")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check against orderings-with-duplicates "
+                        f"(max {MULTI_LIMIT} splits)")
+
+
+def _add_query_args(p):
+    _add_input_args(p)
+    p.add_argument("--partition", required=True,
+                   help="partition.json from search/greedy")
+    p.add_argument("--queries", required=True,
+                   help="JSON list of {attr: range-or-label} queries")
+    p.add_argument("--out", required=True)
+
+
+# each command's help line and the function that adds its arguments
+COMMANDS = {
+    "search": ("certified search: the exact DP, or best-first under a "
+               "budget or in approx mode", _add_search_args),
+    "greedy": ("steepest-descent baseline", _add_greedy_args),
+    "enumerate-count": ("count reachable partitions exactly once",
+                        _add_enumerate_args),
+    "query": ("count-query error report", _add_query_args),
+}
+
+
+def build_parser(command=None):
+    """The argument parser. Given a command's name, only that command's
+    arguments are added; the others are listed but take none, which
+    changes nothing a command line naming that command can show."""
     parser = argparse.ArgumentParser(
         prog="anonsearch",
         description="Optimal and certified-approximate multi-attribute "
                     "generalization for data anonymization.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("search", help="certified search: the exact DP, or "
-                        "best-first under a budget or in approx mode")
-    _add_input_args(ps)
-    _add_metric_args(ps)
-    _add_constraint_args(ps)
-    # the defaults are SearchConfig's, read off its class attributes
-    ps.add_argument("--mode", default=SearchConfig.mode,
-                    choices=["optimal", "approx"])
-    ps.add_argument("--alpha", type=float, default=SearchConfig.alpha,
-                    help="approximation factor for --mode approx")
-    ps.add_argument("--max-queue", type=int, default=SearchConfig.max_queue,
-                    help="best-first queue cap")
-    ps.add_argument("--time-limit", type=float, default=None,
-                    help="seconds; exceeding it returns best effort "
-                         "(selects best-first)")
-    ps.add_argument("--node-limit", type=int, default=None,
-                    help="generated-node budget (selects best-first)")
-    ps.add_argument("--improve", action="store_true",
-                    help="seed the incumbent with the greedy solution")
-    ps.add_argument("--out", required=True, help="output directory")
-
-    pg = sub.add_parser("greedy", help="steepest-descent baseline")
-    _add_input_args(pg)
-    _add_metric_args(pg)
-    _add_constraint_args(pg)
-    pg.add_argument("--out", required=True)
-
-    pe = sub.add_parser("enumerate-count",
-                        help="count reachable partitions exactly once")
-    _add_input_args(pe)
-    pe.add_argument("--limit", type=int, default=None,
-                    help="stop after this many partitions")
-    pe.add_argument("--oracle", action="store_true",
-                    help="cross-check against orderings-with-duplicates "
-                         f"(max {MULTI_LIMIT} splits)")
-
-    pq = sub.add_parser("query", help="count-query error report")
-    _add_input_args(pq)
-    pq.add_argument("--partition", required=True,
-                    help="partition.json from search/greedy")
-    pq.add_argument("--queries", required=True,
-                    help="JSON list of {attr: range-or-label} queries")
-    pq.add_argument("--out", required=True)
-
+    for name, (text, add_args) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            add_args(p)
     return parser
 
 
@@ -407,7 +426,10 @@ def _check_counts(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _check_counts(args)
         if args.command == "search":

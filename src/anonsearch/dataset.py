@@ -308,6 +308,21 @@ def _parse(attr, raw_text):
     return text
 
 
+class _Memo(dict):
+    """One column's parsed values, keyed by raw field text. A text is
+    parsed on its first lookup; one that fails raises its ValueError and
+    is never stored."""
+
+    __slots__ = ("attr",)
+
+    def __init__(self, attr):
+        self.attr = attr
+
+    def __missing__(self, text):
+        value = self[text] = _parse(self.attr, text)
+        return value
+
+
 def _first_error(path, schema, memos):
     """Raise the first fault of the file in (line, column) order: a wrong
     field count or a field that does not parse. The file is read again
@@ -338,16 +353,18 @@ def _first_error(path, schema, memos):
 def load_dataset(path, schema) -> Dataset:
     """Read a CSV whose header matches the schema names exactly.
 
-    Records are read `CHUNK_ROWS` at a time, blank ones dropped, and each
-    chunk is transposed into per-column tuples. Each distinct field text
-    is parsed and checked once per column; a text that fails is never
-    remembered. At the first fault the file is read again record by
+    Records are read `CHUNK_ROWS` at a time and blank ones dropped; a
+    chunk of blank records only is skipped. Each chunk is transposed into
+    per-column tuples, and each tuple is mapped in one pass through its
+    column's memo, which parses a distinct field text on its first lookup
+    and never remembers a text that fails. The transposition is strict,
+    inside and out, so a record of the wrong length stops it as a parse
+    failure does. At the first fault the file is read again record by
     record (`_first_error`), so the error names the line where the first
     faulty record starts, and its column. A record the csv module refuses
     (a field over its size limit) names the line it was read to, and text
     that does not decode names the file."""
     names = [a.name for a in schema]
-    width = len(schema)
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -359,19 +376,20 @@ def load_dataset(path, schema) -> Dataset:
                 raise DataError(f"{path}: header {header!r} does not match "
                                 f"schema attributes {names!r}")
             columns = [[] for _ in schema]
-            memos = [{} for _ in schema]    # per column: raw text -> value
+            memos = [_Memo(attr) for attr in schema]
             while chunk := list(islice(reader, CHUNK_ROWS)):
                 records = list(filter(None, chunk))
-                if records and set(map(len, records)) != {width}:
+                if not records:
+                    continue
+                try:
+                    # strict inside: every record as long as the first;
+                    # strict outside: the first as long as the schema
+                    for memo, column, raw in zip(
+                            memos, columns, zip(*records, strict=True),
+                            strict=True):
+                        column.extend(map(memo.__getitem__, raw))
+                except ValueError:
                     _first_error(path, schema, memos)
-                for attr, memo, column, raw in zip(schema, memos, columns,
-                                                   zip(*records)):
-                    for text in set(raw).difference(memo):
-                        try:
-                            memo[text] = _parse(attr, text)
-                        except ValueError:
-                            _first_error(path, schema, memos)
-                    column.extend(map(memo.__getitem__, raw))
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 
 from .splits import Move, Split, SplitSet
 
@@ -113,16 +114,29 @@ def node_cuts(s: Split, lc: int, rc: int) -> int:
             | lc & rc & s.other_attrs)
 
 
+class _Numbering(dict):
+    """Numbers its keys in the order of their first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        number = self[key] = len(self)
+        return number
+
+
 class Space:
     """A dataset bound to its split set. Owns block construction.
 
     Each row is binned once into its finest cell: per QI attribute, the
     slot between consecutive split planes holding its value, a value on
-    a plane placed as a split places it. The slots are read off the
-    dataset's QI columns, each distinct value binned once per column, and
-    zipped into one slot tuple per row. Non-empty cells are numbered in
-    the order of their first row; `cell_of` maps rows to cells and
-    `cell_counts` cells to row counts.
+    a plane placed as a split places it. A row's cell key is the
+    mixed-radix number of its slots: each QI attribute with a plane maps
+    its distinct values once to `slot * stride`, its stride being the
+    product of the slot counts of the attributes before it, and the keys
+    are the sums of those columns; an attribute with no plane has one
+    slot and adds nothing. Non-empty cells are numbered in the order of
+    their first row, and each cell's slots are decoded from its key.
+    `cell_of` maps rows to cells and `cell_counts` cells to row counts.
     """
 
     def __init__(self, dataset, splits: SplitSet):
@@ -142,25 +156,37 @@ class Space:
                       in zip(planes, extent)]
         self._slot_of_plane = {s.id: planes[s.qi_pos].index(s.plane)
                                for s in splits.splits}
-        slots = []
-        for a, attr, cuts in zip(self.qi, self.qi_schema, planes):
+        keys = None
+        strides = []    # (QI position, stride) of each attribute with a plane
+        stride = 1
+        for q, (a, attr, cuts) in enumerate(zip(self.qi, self.qi_schema,
+                                                planes)):
+            if not cuts:
+                continue
             column = dataset.columns[a]
             values = set(column)
             if attr.is_numeric:
-                memo = {v: bisect_left(cuts, v) for v in values}
+                memo = {v: bisect_left(cuts, v) * stride for v in values}
             else:
                 pos = attr.taxonomy.leaf_position
-                memo = {v: bisect_right(cuts, pos(v)) for v in values}
-            # lazy: the slots are read once, by the cell numbering below
-            slots.append(map(memo.__getitem__, column))
-        keys = zip(*slots) if slots else [()] * len(dataset)
-        index: dict = {}    # slot tuple -> cell number
-        self.cell_of = [index.setdefault(key, len(index)) for key in keys]
-        # per QI attribute, the slot of each cell
-        self._slots = list(zip(*index)) or [() for _ in self.qi]
-        self.cell_counts = [0] * len(index)
-        for cell in self.cell_of:
-            self.cell_counts[cell] += 1
+                memo = {v: bisect_right(cuts, pos(v)) * stride
+                        for v in values}
+            # lazy: the keys are read once, by the cell numbering below
+            digits = map(memo.__getitem__, column)
+            keys = digits if keys is None else map(add, keys, digits)
+            strides.append((q, stride))
+            stride *= len(cuts) + 1
+        index = _Numbering()    # cell key -> cell number
+        self.cell_of = list(map(index.__getitem__,
+                                [0] * len(dataset) if keys is None else keys))
+        # per QI attribute, the slot of each cell: the quotient by its
+        # stride of what the larger strides leave of the key
+        self._slots = [(0,) * len(index)] * len(self.qi)
+        rest = list(index)
+        for q, stride in reversed(strides):
+            self._slots[q] = [key // stride for key in rest]
+            rest = [key % stride for key in rest]
+        self.cell_counts = list(Counter(self.cell_of).values())
         self.root_block = Block(tuple(extent), tuple(range(len(index))),
                                 len(self.cell_of))
         # per numeric QI attribute its planes and their moves, in id order

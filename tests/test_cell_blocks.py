@@ -1,5 +1,6 @@
 """Cell-based blocks against the row scans they replaced.
 
+The Space's cell table is checked against binning each row on its own.
 Every tree node's block is replayed on row blocks with the row-based
 split (`conftest.reference_apply_split`); counts, class histograms,
 metric costs, finest-cell bounds and constraint checks must equal those
@@ -9,8 +10,10 @@ the same costs and flags.
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +24,88 @@ from anonsearch.constraints import (EntropyLDiversity, EpsPrivacy, KAnonymity,
 from anonsearch.metrics import make_metric
 from anonsearch.partition import Internal, Space
 
-from conftest import (dataset_rows, random_instance, random_tree,
+from conftest import (build_space, dataset_rows, random_instance, random_tree,
                       reference_apply_split, row_columns, row_root,
                       rows_dataset)
+
+
+TAXONOMY = {"label": "any", "children": [
+    {"label": "ab", "children": [{"label": "a"}, {"label": "b"}]},
+    {"label": "c"}]}
+
+
+def numeric(name, cuts, role="qi"):
+    splits = ({"type": "explicit", "values": cuts} if cuts
+              else {"type": "none"})
+    return {"name": name, "kind": "numeric", "role": role,
+            "domain": [0, 10], "splits": splits}
+
+
+def categorical(name, split_type, role="qi"):
+    return {"name": name, "kind": "categorical", "role": role,
+            "taxonomy": "t", "splits": {"type": split_type}}
+
+
+def reference_cell_table(space):
+    """Each row binned on its own by bisecting its values among the
+    planes: the rows' cell numbers in first-row order, the cells' row
+    counts and extents, and the root extent."""
+    schema, columns = space.dataset.schema, space.dataset.columns
+    bounds, planes = [], []
+    for a in space.qi:
+        attr = schema[a]
+        bounds.append(attr.domain if attr.is_numeric
+                      else (0, attr.taxonomy.n_leaves))
+        planes.append(space.splits.planes(a))
+    number, cell_of, extents = {}, [], []
+    for r in range(len(space.dataset)):
+        slots = []
+        for a, cuts in zip(space.qi, planes):
+            attr, v = schema[a], columns[a][r]
+            slots.append(bisect_left(cuts, v) if attr.is_numeric else
+                         bisect_right(cuts, attr.taxonomy.leaf_position(v)))
+        key = tuple(slots)
+        if key not in number:
+            number[key] = len(number)
+            extents.append(tuple(
+                ([lo, *cuts, hi][i], [lo, *cuts, hi][i + 1])
+                for i, cuts, (lo, hi) in zip(key, planes, bounds)))
+        cell_of.append(number[key])
+    counts = [cell_of.count(c) for c in range(len(number))]
+    return cell_of, counts, extents, tuple(bounds)
+
+
+@pytest.mark.parametrize("attrs", [
+    # a numeric QI attribute with no cut beside one with cuts
+    [numeric("x", []), numeric("y", [2.5, 5, 7.5])],
+    # a categorical QI attribute with type none, then a numeric one
+    [categorical("c", "none"), numeric("y", [5]),
+     numeric("s", [3], role="sensitive")],
+    # no plane at all: one cell holds every row
+    [numeric("x", []), categorical("c", "none")],
+    # a later attribute with more slots than an earlier one
+    [numeric("x", [5]), categorical("c", "taxonomy"),
+     numeric("y", [1, 2, 3, 4, 6, 8])],
+])
+def test_cell_table_matches_per_row_binning(attrs):
+    rng = random.Random(len(attrs))
+    rows = [tuple(rng.choice([0, 1, 2, 2.5, 5, 6.5, 7.5, 10])
+                  if a["kind"] == "numeric" else rng.choice("abc")
+                  for a in attrs) for _ in range(60)]
+    space = build_space({"attributes": attrs,
+                         "taxonomies": {"t": TAXONOMY}}, rows)
+    cell_of, counts, extents, root = reference_cell_table(space)
+    assert space.cell_of == cell_of
+    assert space.cell_counts == counts
+    if not space.splits.splits:
+        assert counts == [len(rows)]
+    for c, extent in enumerate(extents):
+        block = space.cell_block(c)
+        assert (block.extent, block.cells, block.count) == \
+            (extent, (c,), counts[c])
+    block = space.root_block
+    assert (block.extent, block.cells, block.count) == \
+        (root, tuple(range(len(counts))), len(rows))
 
 
 def row_cost(name, metric, block, labels):

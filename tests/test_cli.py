@@ -500,6 +500,38 @@ def test_non_positive_counts_exit_2_before_reading_data(tmp_path, capsys,
     assert not out.exists()
 
 
+# ---- the parser ----
+
+REQUIRED = {"search": ["--dataset", "d", "--config", "c", "--out", "o"],
+            "greedy": ["--dataset", "d", "--config", "c", "--out", "o"],
+            "enumerate-count": ["--dataset", "d", "--config", "c"],
+            "query": ["--dataset", "d", "--config", "c", "--partition", "p",
+                      "--queries", "q", "--out", "o"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h", "search"], ["frobnicate", "--k", "5"], ["--bogus"],
+    *[[command, "--help"] for command in cli.COMMANDS],
+    *[[command, *REQUIRED[command], "--bogus", "1"] for command in cli.COMMANDS],
+    *[[command] for command in cli.COMMANDS],
+    ["search", *REQUIRED["search"], "--mode", "exact"],
+    ["search", *REQUIRED["search"], "greedy"],
+])
+def test_main_parses_as_the_full_parser_does(argv, capsys):
+    """`main` builds only the arguments of the command its first word
+    names: help, usage and errors come out byte for byte as with every
+    command's arguments built."""
+    assert set(cli.COMMANDS) == set(REQUIRED)
+
+    def outputs(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return stop.value.code, out, err
+
+    assert outputs(main) == outputs(cli.build_parser().parse_args)
+
+
 # ---- scripts ----
 
 def test_python_dash_m_runs_the_cli():

@@ -339,6 +339,25 @@ def test_load_dataset_at_chunk_boundaries(tmp_path, faults):
     assert_loads_like_reference(path, load_config(TAXO))
 
 
+@pytest.mark.parametrize("lines", [
+    ["5,a", "5,a,a"],                     # a later record one field long
+    ["5,a", "5,b", "", "", "7,c"],        # a chunk of blank records only
+    ["5,a", "5,b", "", ""],               # ... as the last chunk
+    ["5,a", "5"],                         # a later record one field short
+    ["5,a", "2,b", "3,c", "foo,a"],       # a bad text after a new one
+    ["5,a", "5,zz", "2,b", "5,zz"],       # the same bad text twice
+    ["5,a", "foo,b", "foo,b"],            # ... in one chunk
+])
+def test_load_dataset_pitfalls(tmp_path, lines):
+    """Two-record chunks: a record of the wrong length after a good one,
+    a chunk with no record, and faults that follow texts already parsed
+    or repeat a text that failed load as the row-major reference does."""
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(["x,c", *lines]) + "\n")
+    with mock.patch.object(dataset_mod, "CHUNK_ROWS", 2):
+        assert_loads_like_reference(path, load_config(TAXO))
+
+
 @pytest.mark.parametrize("n,seed", [(1, 0), (3, 1), (7, 3), (19, 42),
                                     (20, 5), (38, 7), (39, 11)])
 def test_sample_dataset_keeps_the_row_shuffle(n, seed):
