@@ -14,16 +14,17 @@ shell command line and appended to the workload's flags, so it overrides
 them; `--flags ""` is the workload's flags alone. Write
 `--flags=--improve` when the set is a single word starting with `-`.
 With no `--flags`, the sets are `DEFAULT_FLAGS`: the workload's flags
-alone, then with the vm metric, the cm metric, a small queue cap, approx
-mode, and the cm metric under a queue cap that forces probes, each under a
-node limit. It compares
-`result.json` without `stats.elapsed_sec`, `partition.json`, and
-`progress.csv` without its `elapsed_ms` column, prints one line per
-workload and flag set and exits 1 if any output differs or either run
-fails. A line that reports a
-difference names, per differing file, where it first differs and both
-values, base first: a key path such as `stats.generated: 100027 !=
-100031`, or a row of `progress.csv` or line of `partition.json`.
+alone, then with the vm metric and with the cm metric, each with no
+added limit (on a workload with no node limit of its own they reach the
+DP), then with the vm metric, the cm metric, a small queue cap, approx
+mode, and the cm metric under a queue cap that forces probes, each under
+a node limit. It compares `result.json` without `stats.elapsed_sec`,
+`partition.json`, and `progress.csv` without its `elapsed_ms` column,
+prints one line per workload and flag set and exits 1 if any output
+differs or either run fails. A line that reports a difference names,
+per differing file, where it first differs and both values, base
+first: a key path such as `stats.generated: 100027 != 100031`, or a
+row of `progress.csv` or line of `partition.json`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
-DEFAULT_FLAGS = ("", "--metric vm --node-limit 3000",
+DEFAULT_FLAGS = ("", "--metric vm", "--metric cm",
+                 "--metric vm --node-limit 3000",
                  "--metric cm --node-limit 3000",
                  "--max-queue 20 --node-limit 5000",
                  "--mode approx --alpha 1.5 --node-limit 5000",
@@ -137,7 +139,7 @@ def main(argv=None) -> int:
                     help="rows to generate (default: the workload's)")
     ap.add_argument("--flags", action="append", type=shlex.split,
                     help="extra search flags, one set per use "
-                         "(default: the six DEFAULT_FLAGS sets)")
+                         "(default: the eight DEFAULT_FLAGS sets)")
     args = ap.parse_args(argv)
     if args.rows is not None and args.rows < 1:
         ap.error(f"--rows must be >= 1, got {args.rows}")

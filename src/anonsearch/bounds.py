@@ -3,10 +3,15 @@ the one owner of a solve's block statistics.
 
 A `BoundContext` serves one solve of one `(space, metric, constraints)`:
 it keeps one record per block extent (`ExtentRecord`), for best-first,
-the DP and greedy alike. A record holds the block's exact cost,
-constraint flags and finest-refinement cost, plus best-first's move
-table of the block (`fill`) or the DP's optimum of it. `ConstraintSet`
-and the metrics hold no per-block state.
+the DP and greedy alike, and a greedy run before the DP runs in the
+DP's context, so each extent's record is made once. A record holds the
+block's exact cost, constraint flags and finest-refinement cost, plus
+best-first's move table of the block (`fill`) or the DP's optimum of
+it. `ConstraintSet` and the metrics hold no per-block state.
+
+All three read the records of a move's new blocks from `kids`, which
+looks each child extent (`split_extents`) up before it splits any
+cells, and splits them only for a child with no record yet.
 
 Only leaves that are still splittable (those after the most recent move
 head in pre-order) can be refined; every other leaf pays its exact cost. A
@@ -31,6 +36,8 @@ so its bounds equal `lower_bound` of the node's tree bit for bit.
 """
 
 from __future__ import annotations
+
+from .partition import split_extents
 
 
 def is_whole(x) -> bool:
@@ -111,14 +118,54 @@ class BoundContext:
         self._records: dict = {}   # extent -> ExtentRecord
         self._floors = None
 
+    @classmethod
+    def of(cls, space, metric, constraints, ctx=None) -> "BoundContext":
+        """`ctx`, or a new context if it is None. Raises ValueError if
+        `ctx` was built for another space, metric or constraint set."""
+        if ctx is None:
+            return cls(space, metric, constraints)
+        for name, mine, given in (("Space", ctx.space, space),
+                                  ("metric", ctx.metric, metric),
+                                  ("constraint set", ctx.cons, constraints)):
+            if mine is not given:
+                raise ValueError(f"the BoundContext was built for another "
+                                 f"{name}")
+        return ctx
+
+    def _new(self, block) -> ExtentRecord:
+        rec = self._records[block.extent] = ExtentRecord(
+            block, self.metric.block_cost(block),
+            self.cons.block_flags(block))
+        return rec
+
     def record(self, block) -> ExtentRecord:
         """The record of `block`'s extent."""
-        rec = self._records.get(block.extent)
-        if rec is None:
-            rec = self._records[block.extent] = ExtentRecord(
-                block, self.metric.block_cost(block),
-                self.cons.block_flags(block))
-        return rec
+        return self._records.get(block.extent) or self._new(block)
+
+    def kids(self, block, move):
+        """The records of the new blocks of `move` applied to `block`, in
+        `move_blocks` order, one at a time. Each child extent comes from
+        `split_extents` and is looked up first; the cells are split
+        (`apply_split`, given those extents) only on reaching a child
+        with no record yet, and then down the move's chain to it, since
+        child i's cells come from splitting the right part of child
+        i - 1's split. A caller that stops early splits nothing further."""
+        get, splits = self._records.get, move.splits
+        pairs, extent, done = [], block.extent, 0
+        for i in range(len(splits) + 1):
+            if i < len(splits):
+                pairs.append(split_extents(extent, splits[i]))
+                kid, extent = pairs[i]
+            else:
+                kid = extent
+            rec = get(kid)
+            if rec is None:
+                while done < len(pairs):
+                    left, block = self.space.apply_split(
+                        block, splits[done], extents=pairs[done])
+                    done += 1
+                rec = self._new(left if i < len(splits) else block)
+            yield rec
 
     def cost(self, block) -> float:
         """The metric's exact cost of `block`."""
@@ -155,8 +202,7 @@ class BoundContext:
         for move in rec.moves:
             if not ids & move.bits:
                 continue
-            new = tuple(map(self.record,
-                            self.space.move_blocks(rec.block, move)))
+            new = tuple(self.kids(rec.block, move))
             if sum(r.flags[1] for r in new) > old_mono:
                 rec.bad |= move.bits
                 continue
@@ -176,8 +222,11 @@ def frontier(tree, ctx: BoundContext):
     leaf in pre-order (from `splittable_leaves`), and `pre[j]` is the
     running pre-order sum of exact leaf costs of all leaves before it;
     `pre[0]` is the exact cost of the frozen prefix and `pre[-1]` the
-    exact cost of the whole tree.
+    exact cost of the whole tree. Raises ValueError if `ctx` was built
+    for another Space.
     """
+    if tree.space is not ctx.space:
+        raise ValueError("the BoundContext was built for another Space")
     leaves = [leaf.block for _, leaf, _ in tree.splittable_leaves()]
     blocks = tree.leaf_blocks()
     total = 0.0

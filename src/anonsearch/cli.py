@@ -31,7 +31,8 @@ from .enumeration import MULTI_LIMIT, count_partitions, distinct_signatures, \
 from .metrics import CountedBlock, make_metric, query_error_report, \
     theoretical_bound
 from .partition import Space
-from .search import SearchConfig, SearchConfigError, mondrian_greedy, search
+from .search import BoundContext, SearchConfig, SearchConfigError, \
+    mondrian_greedy, runs_dp, search
 from .splits import generate_splits
 
 
@@ -269,15 +270,18 @@ def _cmd_search(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # greedy runs in the context the DP then reads; best-first gets a
+    # new one, so greedy's records do not stay alive through its search
+    ctx = BoundContext(space, metric, cons) if runs_dp(cfg) else None
     seed_tree = None
     seed_cost = None
     if args.improve:
-        g = mondrian_greedy(space, metric, cons)
+        g = mondrian_greedy(space, metric, cons, ctx)
         if g.feasible:
             seed_tree = g.tree
             seed_cost = g.cost
 
-    res = search(space, metric, cons, cfg, seed_tree=seed_tree)
+    res = search(space, metric, cons, cfg, seed_tree=seed_tree, ctx=ctx)
 
     doc = {
         "command": "search",

@@ -12,8 +12,9 @@ This is the DP over rectangles for hierarchical partitions
 (Muthukrishnan, Poosala & Suel, ICDT 1999). It searches shared
 sub-blocks instead of whole trees: each extent is solved once, and its
 optimum and the records of the new blocks of its chosen move are kept
-on its `ExtentRecord` (`opt`, `choice`). A move's new blocks come from
-`Space.move_blocks`, their records from the `BoundContext`; the record's
+on its `ExtentRecord` (`opt`, `choice`). The records of a move's new
+blocks come from `BoundContext.kids`, looked up by extent, so those
+greedy made in the same context are read, not made again; the record's
 move table is best-first's, and the DP reads none of it.
 
 - A block failing a monotone constraint has no feasible refinement: its
@@ -76,10 +77,10 @@ class ExtentDP:
         floor = ctx.min_cost(rec.block) if rec.floor is None else rec.floor
         if not fails_mono and best > floor:
             stats.expanded += 1
-            space, record, min_cost = ctx.space, ctx.record, ctx.min_cost
+            min_cost = ctx.min_cost
             options = []
-            for move in space.available_moves(rec.block.extent):
-                kids = tuple(map(record, space.move_blocks(rec.block, move)))
+            for move in ctx.space.available_moves(rec.block.extent):
+                kids = tuple(ctx.kids(rec.block, move))
                 if any(kid.flags[1] for kid in kids):
                     options.append(None)
                 else:

@@ -233,13 +233,15 @@ class Space:
                 hist[i] += n
         return hist
 
-    def apply_split(self, block: Block, s: Split):
+    def apply_split(self, block: Block, s: Split, extents=None):
         """Split a block into its (tree-left, tree-right) children.
+        `extents` are their extents if the caller has them from
+        `split_extents`.
 
         A cell lies above the split's plane when its slot along the split
         attribute is past the plane's; that side is tree-right for a
         numeric split and tree-left for a categorical one."""
-        left, right = split_extents(block.extent, s)
+        left, right = extents or split_extents(block.extent, s)
         slot = self._slots[s.qi_pos]
         at = self._slot_of_plane[s.id]
         below, above = [], []

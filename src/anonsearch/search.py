@@ -2,13 +2,18 @@
 exact DP over extents and best-first search, and the best-first search.
 
 `search` runs the DP over block extents (`dp.ExtentDP`) when `mode` is
-"optimal" and neither a node nor a time limit is set: such a run can
-only end with a certificate, so best-first's anytime incumbents buy
-nothing there. Every other run, and every call of `best_first`, runs
-the best-first search below. Both refuse a seed tree that is not
-feasible, not canonical or no partition of the space, and both void
-their certificate when the metric breaks the floor contract
-(`BoundContext.sound`).
+"optimal" and neither a node nor a time limit is set (`runs_dp`, which
+the CLI reads too): such a run can only end with a certificate, so
+best-first's anytime incumbents buy nothing there. Every other run, and
+every call of `best_first`, runs the best-first search below. Both
+refuse a seed tree that is not feasible, not canonical or no partition
+of the space, and both void their certificate when the metric breaks
+the floor contract (`BoundContext.sound`).
+
+Each solve runs in one `BoundContext`: the caller's, or a new one. The
+CLI runs greedy in the context a DP run then reads, so the DP makes no
+record greedy made; a best-first run gets a new context, so greedy's
+records, most of which its search never reads, are freed before it.
 
 Best-first: nodes are partition trees from the duplicate-free order,
 expanded least lower bound first, then least cost. Every feasible node
@@ -208,11 +213,12 @@ def _grow(line) -> PartitionTree:
 
 
 class _Searcher:
-    def __init__(self, space, metric, constraints, config, seed_tree=None):
+    def __init__(self, space, metric, constraints, config, seed_tree=None,
+                 ctx=None):
         self.space = space
         self.cfg = config
         self.seed_tree = seed_tree
-        self.bctx = BoundContext(space, metric, constraints)
+        self.bctx = BoundContext.of(space, metric, constraints, ctx)
         self._fronts = Frontiers()
         self.stats = SearchStats()
         self.progress: list = []
@@ -554,14 +560,14 @@ def _result(ctx, stats, progress, t0, best, line, glb, proved,
                         stats, progress)
 
 
-def _solve_dp(space, metric, constraints, seed_tree) -> SearchResult:
+def _solve_dp(ctx, seed_tree) -> SearchResult:
     """The optimum by the DP over extents (`dp.ExtentDP`), or the seed
     if the DP finds nothing cheaper. The result's tree is the canonical
     tree of the optimal blocks and its cost their pre-order sum, as
     greedy adds it. Progress: the seed's row, bounded by the root's
     floor, then the optimum's row if it is cheaper."""
     t0 = time.monotonic()
-    ctx = BoundContext(space, metric, constraints)
+    space = ctx.space
     stats = SearchStats()
     progress = []
 
@@ -599,30 +605,46 @@ def _collector_off(solve):
 
 def best_first(space: Space, metric: Metric, constraints: ConstraintSet,
                config: SearchConfig | None = None,
-               seed_tree: PartitionTree | None = None) -> SearchResult:
+               seed_tree: PartitionTree | None = None,
+               ctx: BoundContext | None = None) -> SearchResult:
     """Best-first search under `config`, anytime: it stops at the node or
     time budget with the best partition offered so far. A feasible
     `seed_tree` (e.g. a greedy solution) preloads the incumbent, so the
-    result is never worse than the seed."""
+    result is never worse than the seed. It runs in `ctx` if given (see
+    `search`), else in a new `BoundContext`."""
     cfg = config or SearchConfig()
     return _collector_off(lambda: _Searcher(space, metric, constraints, cfg,
-                                            seed_tree).run())
+                                            seed_tree, ctx).run())
+
+
+def runs_dp(config: SearchConfig | None) -> bool:
+    """Whether `search` solves a run under `config` by the DP: with
+    `mode="optimal"` and neither a node nor a time limit the run can only
+    end with a certificate, so best-first's anytime incumbents buy
+    nothing there."""
+    cfg = config or SearchConfig()
+    return (cfg.mode == "optimal" and cfg.node_limit is None
+            and cfg.time_limit is None)
 
 
 def search(space: Space, metric: Metric, constraints: ConstraintSet,
            config: SearchConfig | None = None,
-           seed_tree: PartitionTree | None = None) -> SearchResult:
+           seed_tree: PartitionTree | None = None,
+           ctx: BoundContext | None = None) -> SearchResult:
     """The minimum-cost feasible partition under `config`, never worse
-    than a feasible `seed_tree`. With `mode="optimal"` and neither a node
-    nor a time limit the run can only end with a certificate, so the
-    exact DP over extents solves it (`dp.ExtentDP`); every other run is
-    `best_first`. The seed is checked the same way by both."""
-    cfg = config or SearchConfig()
-    if (cfg.mode == "optimal" and cfg.node_limit is None
-            and cfg.time_limit is None):
-        return _collector_off(lambda: _solve_dp(space, metric, constraints,
-                                                seed_tree))
-    return best_first(space, metric, constraints, cfg, seed_tree)
+    than a feasible `seed_tree`. A run that `runs_dp` is solved by the
+    exact DP over extents (`dp.ExtentDP`); every other run is
+    `best_first`. The seed is checked the same way by both.
+
+    The solve runs in `ctx` if given, else in a new `BoundContext`. A
+    context serves one search, after at most a `mondrian_greedy` run in
+    it, whose records the search then reads instead of making them
+    again; a context built for another `(space, metric, constraints)` is
+    refused with a `ValueError`."""
+    if runs_dp(config):
+        ctx = BoundContext.of(space, metric, constraints, ctx)
+        return _collector_off(lambda: _solve_dp(ctx, seed_tree))
+    return best_first(space, metric, constraints, config, seed_tree, ctx)
 
 
 # ---- greedy baseline ----
@@ -636,7 +658,8 @@ class GreedyResult:
 
 
 def mondrian_greedy(space: Space, metric: Metric,
-                    constraints: ConstraintSet) -> GreedyResult:
+                    constraints: ConstraintSet,
+                    ctx: BoundContext | None = None) -> GreedyResult:
     """Mondrian's top-down splitting (LeFevre, DeWitt & Ramakrishnan,
     ICDE 2006), one block at a time: a block takes its best move, the
     lowest `(delta, move.id)` among the moves whose new blocks all pass
@@ -647,25 +670,33 @@ def mondrian_greedy(space: Space, metric: Metric,
     applied. The published blocks are laid out as their canonical tree,
     and the cost is their sum in its pre-order, the float `search` gives
     that tree.
+
+    Greedy runs in `ctx` if given, else in a new `BoundContext`; a
+    `search` then run in `ctx` reads the records greedy made.
     """
-    ctx = BoundContext(space, metric, constraints)
-    root = space.root_block
-    if ctx.flags(root)[0]:
+    ctx = BoundContext.of(space, metric, constraints, ctx)
+    root = ctx.record(space.root_block)
+    if root.flags[0]:
         return GreedyResult(None, INF, False, 0)
     leaves, stack, steps = [], [root], 0
     while stack:
-        block = stack.pop()
+        rec = stack.pop()
         best = None
         # moves come in id order, so a tie keeps the lowest id
-        for move in space.available_moves(block.extent):
-            new_blocks = space.move_blocks(block, move)
-            if any(ctx.flags(nb)[0] for nb in new_blocks):
-                continue
-            delta = sum(map(ctx.cost, new_blocks)) - ctx.cost(block)
-            if best is None or delta < best[0]:
-                best = (delta, new_blocks)
+        for move in space.available_moves(rec.block.extent):
+            # the children after the first one failing a constraint are
+            # neither split nor recorded
+            kids = []
+            for kid in ctx.kids(rec.block, move):
+                if kid.flags[0]:
+                    break
+                kids.append(kid)
+            else:
+                delta = sum(kid.cost for kid in kids) - rec.cost
+                if best is None or delta < best[0]:
+                    best = (delta, kids)
         if best is None or best[0] > 0:
-            leaves.append(block)
+            leaves.append(rec.block)
         else:
             stack.extend(best[1])
             steps += 1

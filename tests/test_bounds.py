@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -99,6 +100,63 @@ def test_one_record_per_extent_with_its_move_table():
                       build_constraints(space, k=2))
     vm.min_cost(root)
     assert not vm.exact
+
+
+def test_kids_are_the_records_of_move_blocks():
+    # a move's child records, looked up by extent, are those of its
+    # `move_blocks` in that order, in a context that holds none, some or
+    # all of them; the cells are split only as far down the move's chain
+    # as the last child read that is not held
+    rng = random.Random(27)
+    numeric = sibling_sets = 0
+    holds = dict.fromkeys(["none", "some", "all"], 0)
+    for _ in range(150):
+        space = random_instance(rng)
+        metric = make_metric(rng.choice(["dm", "cm", "vm"]), space)
+        cons = build_constraints(space, k=rng.randint(1, 3), l_div=1.5)
+        blocks = [space.root_block, *random_tree(space, rng).leaf_blocks()]
+        for block in blocks:
+            for move in space.available_moves(block.extent):
+                ref = space.move_blocks(block, move)
+                ctx = BoundContext(space, metric, cons)
+                hold = rng.choice(["none", "some", "all"])
+                some = rng.sample(range(len(ref)),
+                                  rng.randint(1, len(ref) - 1))
+                held = {i: ctx.record(ref[i]) for i in range(len(ref))
+                        if hold == "all" or hold == "some" and i in some}
+                holds[hold] += 1
+                calls = []
+                split = space.apply_split
+                space.apply_split = lambda *a, **kw: (calls.append(a[1]),
+                                                      split(*a, **kw))[1]
+                take = rng.randint(1, len(ref))
+                try:
+                    kids = ctx.kids(block, move)
+                    got = list(itertools.islice(kids, take))
+                    early = list(calls)
+                    got = tuple(got + list(kids))
+                finally:
+                    del space.apply_split
+                assert [(r.block.extent, r.block.cells, r.block.count)
+                        for r in got] == \
+                    [(b.extent, b.cells, b.count) for b in ref]
+                assert [(r.cost, r.flags) for r in got] == \
+                    [(metric.block_cost(b), cons.block_flags(b))
+                     for b in ref]
+                assert all(got[i] is rec for i, rec in held.items())
+                assert all(x is y for x, y in zip(
+                    got, map(ctx.record, ref), strict=True))
+                n = len(move.splits)
+                for read, made in ((take, early), (len(ref), calls)):
+                    missing = [i for i in range(read) if i not in held]
+                    want = min(missing[-1] + 1, n) if missing else 0
+                    assert made == list(move.splits[:want])
+                if n > 1:
+                    sibling_sets += 1
+                else:
+                    numeric += 1
+    assert numeric >= 500 and sibling_sets >= 50
+    assert min(holds.values()) >= 150
 
 
 def test_size_floor_comes_from_l_diversity_alone():

@@ -621,7 +621,7 @@ def test_same_outputs_names_the_first_difference(monkeypatch):
         "same lines, other line endings"
 
 
-def test_same_outputs_runs_six_flag_sets_by_default(monkeypatch, capsys):
+def test_same_outputs_runs_its_default_flag_sets(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import same_outputs
     ran = []
@@ -636,14 +636,19 @@ def test_same_outputs_runs_six_flag_sets_by_default(monkeypatch, capsys):
               for line in capsys.readouterr().out.splitlines()]
     assert labels == [
         "taxo3k-exact",
+        "taxo3k-exact [--metric vm]",
+        "taxo3k-exact [--metric cm]",
         "taxo3k-exact [--metric vm --node-limit 3000]",
         "taxo3k-exact [--metric cm --node-limit 3000]",
         "taxo3k-exact [--max-queue 20 --node-limit 5000]",
         "taxo3k-exact [--mode approx --alpha 1.5 --node-limit 5000]",
         "taxo3k-exact [--metric cm --max-queue 100 --node-limit 20000]"]
-    # both sides of each set, the set after the workload's own flags
-    assert len(ran) == 12 and ran[2][-4:] == ["--metric", "vm",
+    # both sides of each set, the set after the workload's own flags; the
+    # vm and cm sets with no limit reach the DP on taxo3k-exact
+    assert len(ran) == 16 and ran[6][-4:] == ["--metric", "vm",
                                                "--node-limit", "3000"]
+    for flags in ran[2:6]:
+        assert "--node-limit" not in flags and "--time-limit" not in flags
 
 
 def traced_solve(tmp_path, data, config, *flags):

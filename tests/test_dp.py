@@ -12,6 +12,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,41 @@ def test_dp_judges_best_first():
             else:
                 exhausted += 1
     assert certified >= 50 and exhausted >= 120
+
+
+def outcome(res):
+    """What a solve reports, less its times."""
+    stats = asdict(res.stats)
+    del stats["elapsed_sec"]
+    rows = [{k: v for k, v in row.items() if k != "elapsed_ms"}
+            for row in res.progress]
+    return (res.status, res.best_cost, res.lower_bound, res.ratio,
+            res.certified, res.alpha_guarantee, res.blocks, stats, rows)
+
+
+def test_a_search_in_greedys_context_reports_what_a_fresh_one_does():
+    # greedy's records, read instead of made again, change nothing a
+    # search reports, by the DP or by best-first
+    rng = random.Random(27)
+    reused = 0
+    for _ in range(60):
+        space, metric, cons, _ = draw_problem(
+            rng, total_splits=rng.randint(2, 7), rows_range=(6, 30))
+        fresh = mondrian_greedy(space, metric, cons)
+        seed = fresh.tree if fresh.feasible else None
+        cfg = SearchConfig(node_limit=rng.choice([5, 40, 300]),
+                           max_queue=rng.choice([4, 100, 100_000]))
+        for run, config in ((search, None), (best_first, cfg)):
+            ctx = BoundContext(space, metric, cons)
+            g = mondrian_greedy(space, metric, cons, ctx)
+            assert (g.cost, g.feasible, g.steps) == \
+                (fresh.cost, fresh.feasible, fresh.steps)
+            assert g.tree is None if seed is None else \
+                g.tree.leaf_blocks() == seed.leaf_blocks()
+            reused += len(ctx._records) > 1
+            assert outcome(run(space, metric, cons, config, seed, ctx)) == \
+                outcome(run(space, metric, cons, config, seed))
+    assert reused >= 80
 
 
 def test_dp_counts_memo_misses_once():

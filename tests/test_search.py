@@ -962,3 +962,34 @@ def test_objects_built_for_another_space_are_refused(kind, name, build, want):
     BoundContext(a, metric, cons)    # its own Space is fine
     res = search(b, *build(b))
     assert (res.status, res.best_cost) == ("optimal", want)
+
+
+@pytest.mark.parametrize("other", ["Space", "metric", "constraint set"])
+def test_a_context_built_for_another_problem_is_refused(other):
+    # every entry point that runs in a caller's context checks that it
+    # was built for the call's space, metric and constraint set
+    a = xs_space(XS, "abababab")
+    metric, cons = make_metric("dm", a), build_constraints(a, k=2)
+    ctx = BoundContext(a, metric, cons)
+    problem = {
+        "Space": lambda: (xs_space(XS, "aabbaabb"), metric, cons),
+        "metric": lambda: (a, make_metric("dm", a), cons),
+        "constraint set": lambda: (a, metric, build_constraints(a, k=2)),
+    }[other]()
+    message = f"the BoundContext was built for another {other}"
+    budget = SearchConfig(node_limit=10)
+    for run in (lambda: mondrian_greedy(*problem, ctx),
+                lambda: search(*problem, ctx=ctx),
+                lambda: search(*problem, budget, ctx=ctx),
+                lambda: best_first(*problem, ctx=ctx)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    if other == "Space":
+        tree = problem[0].root_tree()
+        for run in (frontier, lower_bound):
+            with pytest.raises(ValueError, match=message):
+                run(tree, ctx)
+    # nothing was solved in it: the context serves its own problem
+    assert ctx._records == {}
+    assert search(a, metric, cons, ctx=ctx).best_cost == \
+        search(a, metric, cons).best_cost == 16
